@@ -132,7 +132,7 @@ def verify_closure(program: ast.Program, config) -> VerificationResult:
                 rf_by_read[r.eid][w.eid] = var
                 builder.imply(var, g_r)
                 builder.imply(var, guard_lits[w.eid])
-                builder.imply(var, blaster.blast_bool(F.eq(value_var(r), value_var(w))))
+                blaster.imply_term(var, F.eq(value_var(r), value_var(w)))
                 builder.imply(var, hb(w.eid, r.eid))
                 rf_lits.append(var)
                 rf_count += 1

@@ -7,11 +7,19 @@ identity caching is sound), which keeps shared subterms shared in the CNF.
 This mirrors the flattening CBMC performs before handing the formula to the
 SAT core; the ordering variables of the encoding stay opaque Boolean
 variables handled by the theory solver.
+
+Asserted terms are lowered by polarity instead of through a Tseitin output
+(:meth:`BitBlaster.assert_term`, :meth:`BitBlaster.imply_term`):
+conjunctions split, disjunctions become one clause, and an equality
+becomes per-bit clauses.  A top-level definition ``x = e`` of a bit-vector
+variable with no bits yet makes ``e``'s bits *be* ``x``'s bits, as CBMC
+binds an SSA symbol to its right-hand side.  Terms used as literals
+(guards, comparisons, error disjuncts) keep their cached gates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.encoding.cnf import CnfBuilder
 from repro.encoding.formula import Term
@@ -61,8 +69,18 @@ class BitBlaster:
         return bits
 
     def assert_term(self, term: Term) -> None:
-        """Assert a Bool term at the top level."""
-        self.builder.fix(self.blast_bool(term))
+        """Assert a Bool term at the top level, lowered by polarity.
+
+        The result is equisatisfiable with ``fix(blast_bool(term))`` and
+        every named variable keeps its model value: aliasing only
+        substitutes a definition that holds in every model.
+        """
+        self._assert_or((), term)
+
+    def imply_term(self, premise: int, term: Term) -> None:
+        """Assert ``premise -> term``; an equality costs two clauses per
+        differing bit pair and no variables."""
+        self._assert_or((-premise,), term)
 
     def bool_value(self, name: str) -> bool:
         """Model value of a Boolean variable (after SAT)."""
@@ -79,6 +97,53 @@ class BitBlaster:
 
     def has_var(self, name: str) -> bool:
         return name in self._bool_vars or name in self._bv_vars
+
+    # ------------------------------------------------------------------
+    # Asserted terms (lowered by polarity)
+    # ------------------------------------------------------------------
+
+    def _assert_or(self, side: Sequence[int], term: Term) -> None:
+        """Assert the clause ``side ∨ term``."""
+        op = term.op
+        if op == "and":
+            for arg in term.args:
+                self._assert_or(side, arg)
+            return
+        if op == "or":
+            lits = list(side)
+            lits.extend(self.blast_bool(arg) for arg in term.args)
+            self.builder.add_clause(lits)
+            return
+        if op == "not" and term.args[0].op == "and":
+            lits = list(side)
+            lits.extend(-self.blast_bool(arg) for arg in term.args[0].args)
+            self.builder.add_clause(lits)
+            return
+        if op == "eq":
+            self._assert_eq(side, term.args[0], term.args[1])
+            return
+        self.builder.add_clause(list(side) + [self.blast_bool(term)])
+
+    def _assert_eq(self, side: Sequence[int], a: Term, b: Term) -> None:
+        """Assert ``side ∨ a = b``: alias an undefined variable at the top
+        level, otherwise ``x_i <-> y_i`` per differing bit pair."""
+        if not side:
+            var, value = (a, b) if self._unbound(a) else (b, a)
+            if self._unbound(var):
+                bits = self.blast_bv(value)
+                # Blasting ``value`` binds ``var`` if it occurs there.
+                if self._unbound(var):
+                    self._bv_vars[var.name] = bits
+                    self._bv_cache[var] = bits
+                    return
+        add = self.builder.add_clause
+        for x, y in zip(self.blast_bv(a), self.blast_bv(b)):
+            if x != y:
+                add([*side, -x, y])
+                add([*side, x, -y])
+
+    def _unbound(self, term: Term) -> bool:
+        return term.op == "bvvar" and term.name not in self._bv_vars
 
     # ------------------------------------------------------------------
     # Boolean lowering

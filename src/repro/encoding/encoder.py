@@ -44,7 +44,9 @@ class EncodingStats:
     ws_vars: int = 0
     fr_vars: int = 0
     sat_vars: int = 0
-    clauses_hint: int = 0
+    #: Problem clauses the SAT core stores after encoding (units and
+    #: clauses satisfied at level 0 are not stored).
+    sat_clauses: int = 0
     #: RF/WS candidates considered (post baseline skips) and how many the
     #: :mod:`repro.analysis` prune plan vetoed, plus its build time.
     analysis_pairs_total: int = 0
@@ -192,8 +194,7 @@ def encode_program(
                 g_w = enc.guard_lits[w.eid]
                 builder.imply(var, g_r)
                 builder.imply(var, g_w)
-                eq_lit = blaster.blast_bool(F.eq(value_var(r), value_var(w)))
-                builder.imply(var, eq_lit)
+                blaster.imply_term(var, F.eq(value_var(r), value_var(w)))
                 rf_lits.append(var)
                 enc.stats.rf_vars += 1
                 if enc.stats.rf_vars & 0x3FF == 0:
@@ -319,6 +320,8 @@ def encode_program(
         solver.add_clause(clause)
 
     enc.stats.sat_vars = solver.nvars
+    # The frozen reference core (a differential oracle) has no counter.
+    enc.stats.sat_clauses = getattr(solver, "num_clauses", 0)
     return enc
 
 

@@ -13,6 +13,8 @@ cache is effective.  Constructors perform light constant folding; they raise
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = [
@@ -41,9 +43,18 @@ class Term:
         value: Python value for ``boolconst`` / ``bvconst``.
     """
 
-    __slots__ = ("op", "args", "width", "name", "value", "_hash")
+    __slots__ = ("op", "args", "width", "name", "value", "_hash", "__weakref__")
 
-    _table: Dict[tuple, "Term"] = {}
+    #: Hash-cons table: key -> weak reference to the term.  Terms are held
+    #: weakly, so a long-lived process keeps only the terms still in use;
+    #: a term's death removes its entry (``_remove_dead_weakref``, the
+    #: stdlib's own helper, deletes it only if it still holds a dead
+    #: reference).  Keys name children by ``id()``:
+    #: a live term keeps its children alive, so a live entry's ids are
+    #: never reused by other objects.  (``weakref.WeakValueDictionary``
+    #: does the same in Python code, which made SSA construction ~25%
+    #: slower; this is a plain dict of C-level weak references.)
+    _table: Dict[tuple, "weakref.ref"] = {}
 
     def __new__(
         cls,
@@ -53,10 +64,13 @@ class Term:
         name: Optional[str] = None,
         value=None,
     ) -> "Term":
-        key = (op, tuple(id(a) for a in args), width, name, value)
-        cached = cls._table.get(key)
-        if cached is not None:
-            return cached
+        key = (op, tuple(map(id, args)), width, name, value)
+        table = cls._table
+        ref = table.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                return cached
         self = object.__new__(cls)
         self.op = op
         self.args = tuple(args)
@@ -64,7 +78,10 @@ class Term:
         self.name = name
         self.value = value
         self._hash = hash(key)
-        cls._table[key] = self
+        # Defaults bind the helper: module globals are gone at shutdown.
+        table[key] = weakref.ref(
+            self, lambda _, key=key, drop=_remove_dead_weakref: drop(table, key)
+        )
         return self
 
     @property

@@ -327,6 +327,12 @@ class Solver:
     def _qhead(self) -> int:
         return self.kernel.qhead
 
+    @property
+    def num_clauses(self) -> int:
+        """Problem clauses stored (units and clauses satisfied at level 0
+        are absorbed by :meth:`add_clause`, not stored)."""
+        return len(self._clause_refs)
+
     # ------------------------------------------------------------------
     # Problem construction
     # ------------------------------------------------------------------

@@ -76,6 +76,7 @@ STAT_KEYS = (
     "ws_vars",
     "fr_vars",
     "sat_vars",
+    "sat_clauses",
     # stateless exploration
     "traces",
     "transitions",

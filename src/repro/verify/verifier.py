@@ -256,6 +256,7 @@ def run_smt_engine(
     stats["ws_vars"] = encoded.stats.ws_vars
     stats["fr_vars"] = encoded.stats.fr_vars
     stats["sat_vars"] = encoded.stats.sat_vars
+    stats["sat_clauses"] = encoded.stats.sat_clauses
     stats["analysis_pairs_total"] = encoded.stats.analysis_pairs_total
     stats["analysis_pairs_pruned"] = encoded.stats.analysis_pairs_pruned
     stats["analysis_time_s"] = round(encoded.stats.analysis_time_s, 6)

@@ -38,6 +38,10 @@ class TestVariableCreation:
         enc = encode(self.SRC)
         assert enc.stats.fr_vars == 0
 
+    def test_sat_clauses_counts_stored_problem_clauses(self):
+        enc = encode(self.SRC)
+        assert enc.stats.sat_clauses == enc.solver.num_clauses > 0
+
     def test_fr_vars_in_zord_minus_mode(self):
         enc = encode(self.SRC, fr_encoding=True)
         assert enc.stats.fr_vars > 0

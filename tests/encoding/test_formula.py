@@ -1,5 +1,7 @@
 """Tests for the hash-consed term IR and its constant folding."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,20 @@ class TestHashConsing:
     def test_bool_constants_are_singletons(self):
         assert F.bool_const(True) is F.TRUE
         assert F.bool_const(False) is F.FALSE
+
+
+    def test_table_drops_terms_no_longer_in_use(self):
+        # A long-lived process (service worker, fuzz loop) must not keep
+        # every term it ever built.
+        from repro import api
+        from repro.oracle.generator import generate_source
+
+        gc.collect()
+        baseline = len(F.Term._table)
+        for seed in range(200):
+            api.verify(generate_source(seed))
+        gc.collect()
+        assert len(F.Term._table) == baseline
 
 
 class TestFolding:
