@@ -60,7 +60,7 @@ def verify_closure(program: ast.Program, config) -> VerificationResult:
 
     for constraint in sym.constraints:
         blaster.assert_term(constraint)
-    solver.add_clause([blaster.blast_bool(d) for d in sym.error_disjuncts])
+    builder.add_clause([blaster.blast_bool(d) for d in sym.error_disjuncts])
 
     guard_lits = {ev.eid: blaster.blast_bool(ev.guard) for ev in mem}
     width = sym.width

@@ -136,9 +136,19 @@ class BitBlaster:
                     self._bv_vars[var.name] = bits
                     self._bv_cache[var] = bits
                     return
-        add = self.builder.add_clause
+        # Constant bits fold here: against ``t`` or ``¬t`` one of the two
+        # clauses is satisfied and the other loses its constant.
+        builder = self.builder
+        t = builder.true_lit
+        add = builder.solver.add_clause
         for x, y in zip(self.blast_bv(a), self.blast_bv(b)):
-            if x != y:
+            if x == y:
+                continue
+            if x == t or x == -t:
+                builder.add_clause([*side, y if x == t else -y])
+            elif y == t or y == -t:
+                builder.add_clause([*side, x if y == t else -x])
+            else:
                 add([*side, -x, y])
                 add([*side, x, -y])
 

@@ -7,7 +7,10 @@ DIMACS literals.  Constant inputs are short-circuited where cheap.
 
 The builder also maintains the conventional *true literal* ``t`` (a variable
 fixed to true by a unit clause) so constants can flow through gate inputs
-uniformly.
+uniformly.  Constants are folded where clauses are built, as CBMC's gate
+and clause constructors do: a clause containing ``t`` is dropped and ``¬t``
+is removed, so neither reaches the solver.  The solver would store exactly
+the same clause, since ``t`` is true at level 0 (``docs/SATCORE.md``).
 """
 
 from __future__ import annotations
@@ -43,8 +46,14 @@ class CnfBuilder:
     def new_lit(self) -> int:
         return self.solver.new_var()
 
-    def add_clause(self, lits: Sequence[int]) -> None:
-        self.solver.add_clause(list(lits))
+    def add_clause(self, lits: List[int]) -> None:
+        """Add ``lits`` as a clause, folding the constant literals."""
+        t = self._true
+        if t in lits:
+            return
+        if -t in lits:
+            lits = [lit for lit in lits if lit != -t]
+        self.solver.add_clause(lits)
 
     def fix(self, lit: int) -> None:
         """Assert ``lit`` at the top level."""
@@ -81,10 +90,12 @@ class CnfBuilder:
         cached = self._and_cache.get(key)
         if cached is not None:
             return cached
+        # Inputs are constant-free here: the clauses go straight in.
+        add = self.solver.add_clause
         out = self.new_lit()
         for lit in ins:
-            self.add_clause([-out, lit])
-        self.add_clause([out] + [-lit for lit in ins])
+            add([-out, lit])
+        add([out] + [-lit for lit in ins])
         self._and_cache[key] = out
         return out
 
@@ -105,11 +116,12 @@ class CnfBuilder:
         cached = self._xor_cache.get(key)
         if cached is not None:
             return cached
+        add = self.solver.add_clause
         out = self.new_lit()
-        self.add_clause([-out, a, b])
-        self.add_clause([-out, -a, -b])
-        self.add_clause([out, -a, b])
-        self.add_clause([out, a, -b])
+        add([-out, a, b])
+        add([-out, -a, -b])
+        add([out, -a, b])
+        add([out, a, -b])
         self._xor_cache[key] = out
         return out
 
@@ -122,17 +134,18 @@ class CnfBuilder:
             return t if self._const_value(c) else e
         if t == e:
             return t
+        add = self.add_clause
+        if not (self.is_const(t) or self.is_const(e)):
+            add = self.solver.add_clause
         out = self.new_lit()
-        self.add_clause([-out, -c, t])
-        self.add_clause([-out, c, e])
-        self.add_clause([out, -c, -t])
-        self.add_clause([out, c, -e])
+        add([-out, -c, t])
+        add([-out, c, e])
+        add([out, -c, -t])
+        add([out, c, -e])
         # Redundant but propagation-strengthening clauses.
-        if t == -e:
-            pass
-        else:
-            self.add_clause([-t, -e, out])
-            self.add_clause([t, e, -out])
+        if t != -e:
+            add([-t, -e, out])
+            add([t, e, -out])
         return out
 
     def full_adder(self, a: int, b: int, cin: int):
@@ -150,7 +163,15 @@ class CnfBuilder:
 
     def imply(self, premise: int, conclusion: int) -> None:
         """Assert ``premise -> conclusion``."""
-        self.add_clause([-premise, conclusion])
+        t = self._true
+        if premise == -t or conclusion == t:
+            return
+        if premise == t:
+            self.solver.add_clause([conclusion])
+        elif conclusion == -t:
+            self.solver.add_clause([-premise])
+        else:
+            self.solver.add_clause([-premise, conclusion])
 
     def imply_all(self, premise: int, conclusions: Iterable[int]) -> None:
         for c in conclusions:
@@ -158,4 +179,4 @@ class CnfBuilder:
 
     def imply_or(self, premise: int, disjuncts: Sequence[int]) -> None:
         """Assert ``premise -> (d1 | d2 | ...)``."""
-        self.add_clause([-premise] + list(disjuncts))
+        self.add_clause([-premise, *disjuncts])

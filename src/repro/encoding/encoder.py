@@ -131,7 +131,7 @@ def encode_program(
         enc.trivially_safe = True
         return enc
     err_lits = [blaster.blast_bool(d) for d in sym.error_disjuncts]
-    solver.add_clause(err_lits)
+    builder.add_clause(err_lits)
 
     # --- guard literals ----------------------------------------------
     for ev in sym.memory_events():

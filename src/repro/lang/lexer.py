@@ -1,9 +1,17 @@
-"""Hand-written lexer for the mini concurrent language."""
+"""Table-driven lexer for the mini concurrent language.
+
+One compiled regular expression, matched at each position, names the
+token class of every lexeme.  The character classes are ASCII: ``NAME`` is
+``[A-Za-z_][A-Za-z0-9_]*`` and ``INT`` is ``[0-9]+``, so a Unicode digit
+or letter (``²``, ``١``, ``é``) is an unexpected character, not part of a
+number or name.  ``//`` and ``/* */`` comments and the whitespace
+characters space, tab, CR and LF separate tokens (see ``docs/LANGUAGE.md``).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List
 
 KEYWORDS = {
     "int", "lock", "unlock", "thread", "main", "if", "else", "while",
@@ -11,12 +19,17 @@ KEYWORDS = {
     "fence", "true", "false",
 }
 
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "&&", "||", "==", "!=", "<=", ">=",
-    "+", "-", "*", "&", "|", "^", "!", "~", "<", ">", "=",
-    "(", ")", "{", "}", ";", ",",
-]
+#: Lexeme classes, tried in order at each position (group name = token
+#: kind; ``skip`` covers whitespace and comments).  Two-character
+#: operators come first, so maximal munch holds.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<int_lit>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>&&|\|\||[=!<>]=|[-+*&|^!~<>=(){};,])",
+    re.DOTALL,
+)
 
 
 class LexError(ValueError):
@@ -28,12 +41,32 @@ class LexError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'int_lit', 'ident', 'kw', 'op', 'eof'
-    text: str
-    line: int
-    col: int
+    """A lexeme with its kind and 1-based source position.
+
+    A plain ``__slots__`` class: a frozen dataclass costs three times as
+    much to build, and the parser creates one per lexeme.  Equality,
+    hashing and ``repr`` are value-based, as the dataclass's were.
+    """
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # 'int_lit', 'ident', 'kw', 'op', 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def _key(self):
+        return (self.kind, self.text, self.line, self.col)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Token({self.kind},{self.text!r}@{self.line}:{self.col})"
@@ -42,63 +75,31 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Lex ``source`` into a token list ending with an ``eof`` token."""
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated block comment", line, col)
-            skipped = source[i : end + 2]
-            newlines = skipped.count("\n")
+    line_start = 0  # offset of the current line's first character
+    pos = 0
+    for m in _TOKEN_RE.finditer(source):
+        start = m.start()
+        if start != pos:  # finditer skipped text no lexeme class matches
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "skip":
+            newlines = text.count("\n")
             if newlines:
                 line += newlines
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
+                line_start = start + text.rfind("\n") + 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int_lit", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        if kind == "open_comment":
+            raise LexError("unterminated block comment", line, start - line_start + 1)
+        if kind == "ident" and text in KEYWORDS:
+            kind = "kw"
+        append(Token(kind, text, line, start - line_start + 1))
+    if pos != len(source):
+        raise LexError(
+            f"unexpected character {source[pos]!r}", line, pos - line_start + 1
+        )
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens

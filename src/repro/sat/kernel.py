@@ -161,20 +161,8 @@ class VarOrderHeap:
         #: effective bumps) -- reported as the ``heap_ops`` stat.
         self.n_ops = 0
 
-    def grow(self) -> None:
-        self.pos.append(-1)
-
     def __len__(self) -> int:
         return len(self.heap)
-
-    def insert(self, v: int) -> None:
-        if self.pos[v] != -1:
-            return
-        heap = self.heap
-        heap.append(v)
-        self.pos[v] = len(heap) - 1
-        self._sift_up(len(heap) - 1)
-        self.n_ops += 1
 
     def bump(self, v: int) -> None:
         """Re-key ``v`` after its activity increased."""
@@ -306,8 +294,12 @@ class BoolKernel:
         self.activity.append(0.0)
         self.watch.append([])
         self.watch.append([])
-        self.heap.grow()
-        self.heap.insert(self.nvars)
+        # A fresh variable has activity 0 and no activity is negative,
+        # so it belongs at the end of the heap: the insert needs no sift.
+        heap = self.heap
+        heap.pos.append(len(heap.heap))
+        heap.heap.append(self.nvars)
+        heap.n_ops += 1
         return self.nvars
 
     @staticmethod

@@ -44,6 +44,10 @@ _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
+#: Clauses up to this length are deduped by ``in`` on the output list in
+#: :meth:`Solver.add_clause`; longer ones through a set.
+_SHORT_CLAUSE = 8
+
 #: A conflict in flight: either an arena cref (attached clause) or a raw
 #: literal list (theory conflict clause, never attached).
 _Conflict = Union[int, List[int]]
@@ -367,36 +371,87 @@ class Solver:
         if self._trail_lim:
             self._backjump(0)
         # Simplify: drop duplicate/false literals, detect tautologies.
-        seen = set()
-        out: List[int] = []
-        for lit in lits:
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            val = self._value(lit)
-            if val == _TRUE:
-                return True  # already satisfied at top level
-            if val == _FALSE:
-                continue
-            seen.add(lit)
-            out.append(lit)
-        if not out:
-            self._unsat = True
-            return False
-        if len(out) == 1:
-            if not self.kernel.enqueue(out[0], NO_REASON):
+        # Clause intake is on the encoding hot path, so the value lookup,
+        # ClauseArena.alloc and BoolKernel.attach are inlined below.  The
+        # stored clause, its literal order and its watcher order must stay
+        # what those methods produce: the search depends on them
+        # (docs/SATCORE.md, "Clause intake").
+        if len(lits) > _SHORT_CLAUSE:
+            out = self._simplify_long(lits)
+            if out is None:
+                return True
+        else:
+            assign = self._assign
+            out = []
+            for lit in lits:
+                if -lit in out:
+                    return True  # tautology
+                if lit in out:
+                    continue
+                val = assign[lit] if lit > 0 else -assign[-lit]
+                if val == _TRUE:
+                    return True  # already satisfied at top level
+                if val == _FALSE:
+                    continue
+                out.append(lit)
+        kernel = self.kernel
+        n = len(out)
+        if n < 2:
+            if not n:
                 self._unsat = True
                 return False
-            if self.kernel.propagate() != -1:
+            if not kernel.enqueue(out[0], NO_REASON):
+                self._unsat = True
+                return False
+            if kernel.propagate() != -1:
                 self._unsat = True
                 return False
             self._sync_stats()
             return True
-        cref = self.kernel.arena.alloc(out, learned=False)
+        arena = kernel.arena
+        data = arena.data
+        cid2ref = arena.cid2ref
+        cref = len(data)
+        data.append(n << 2)  # header: size, not learned, not dead
+        data.append(len(cid2ref))
+        data.extend(out)
+        arena.activity.append(0.0)
+        cid2ref.append(cref)
         self._clause_refs.append(cref)
-        self.kernel.attach(cref)
+        # Watch the first two literals, each with the other as blocker;
+        # a binary clause is tagged negative (see repro.sat.kernel).
+        l0 = out[0]
+        l1 = out[1]
+        tag = -(cref + 1) if n == 2 else cref + 1
+        watch = kernel.watch
+        w = watch[2 * l0 if l0 > 0 else 1 - 2 * l0]
+        w.append(tag)
+        w.append(l1)
+        w = watch[2 * l1 if l1 > 0 else 1 - 2 * l1]
+        w.append(tag)
+        w.append(l0)
         return True
+
+    def _simplify_long(self, lits: Sequence[int]) -> Optional[List[int]]:
+        """:meth:`add_clause`'s simplification for a long clause, deduped
+        through a set (``in`` on the output list is quadratic).  None when
+        the clause is a tautology or satisfied at the top level."""
+        assign = self._assign
+        seen = set()
+        out: List[int] = []
+        for lit in lits:
+            if -lit in seen:
+                return None
+            if lit in seen:
+                continue
+            val = assign[lit] if lit > 0 else -assign[-lit]
+            if val == _TRUE:
+                return None
+            if val == _FALSE:
+                continue
+            seen.add(lit)
+            out.append(lit)
+        return out
 
     # ------------------------------------------------------------------
     # Public solving API
@@ -1068,8 +1123,8 @@ class Solver:
         if len(kernel.trail) == kernel.nvars:
             # Every variable is assigned: the model is complete.  Skip
             # draining the heap (it would pop all n live entries just to
-            # discover there is nothing left to decide); `insert` is
-            # idempotent, so the entries stay valid for the next solve.
+            # discover there is nothing left to decide); reinsertion on
+            # backjump skips queued variables, so the entries stay valid.
             return 0
         assign = self._assign
         phase = self._phase

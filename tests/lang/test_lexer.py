@@ -51,3 +51,62 @@ class TestTokens:
 
     def test_underscored_identifiers(self):
         assert kinds("_x x_1 __a") == [("ident", "_x"), ("ident", "x_1"), ("ident", "__a")]
+
+
+class TestAsciiOnly:
+    """NAME and INT are ASCII classes: other characters are lex errors."""
+
+    @pytest.mark.parametrize(
+        "src, line, col, ch",
+        [
+            ("x = ²;", 1, 5, "²"),  # superscript digit (str.isdigit)
+            ("x = ١٢;", 1, 5, "١"),  # Arabic-Indic digits (int() accepts)
+            ("int x²;", 1, 6, "²"),  # not part of an identifier
+            ("int x;\n  é = 1;", 2, 3, "é"),
+            ("int x;\n/* c\n */ y = ٣;", 3, 9, "٣"),  # after a comment
+            ("x = 1;", 1, 2, " "),  # non-ASCII whitespace
+        ],
+    )
+    def test_unicode_raises_with_position(self, src, line, col, ch):
+        with pytest.raises(LexError) as info:
+            tokenize(src)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value) == f"{line}:{col}: unexpected character {ch!r}"
+
+    def test_unterminated_comment_position(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x;\n  /* oops")
+        assert (info.value.line, info.value.col) == (2, 3)
+
+    def test_cli_reports_location_and_exits_one(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "sq.c"
+        path.write_text("int x;\nmain {\n  x = ²;\n}\n", encoding="utf-8")
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: error: 3:7: unexpected character" in err
+        assert "Traceback" not in err
+
+
+class TestTokenValue:
+    def test_equality_hash_repr(self):
+        a, b = tokenize("x")[0], tokenize("x")[0]
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != tokenize(" x")[0]
+        assert a != ("ident", "x", 1, 1)
+        assert repr(a) == "Token(ident,'x'@1:1)"
+
+
+def _suite_sources():
+    from repro.bench import nidhugg_suite, svcomp_suite
+
+    return [(t.name, t.source) for t in svcomp_suite() + nidhugg_suite()]
+
+
+@pytest.mark.parametrize("name, source", _suite_sources())
+def test_positions_slice_their_text(name, source):
+    lines = source.split("\n")
+    for tok in tokenize(source)[:-1]:
+        line = lines[tok.line - 1]
+        assert line[tok.col - 1 : tok.col - 1 + len(tok.text)] == tok.text, tok
