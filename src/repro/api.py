@@ -14,8 +14,7 @@ Five entry points, stable across releases:
 * :func:`connect` -- open a client to a running service.
 
 Library users should import from here (or from :mod:`repro`, which
-re-exports the same names); ``repro.verify.verifier.verify`` is a
-deprecated spelling kept as a warning shim.
+re-exports the same names).
 """
 
 from __future__ import annotations

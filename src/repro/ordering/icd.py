@@ -27,8 +27,8 @@ epoch-stamped visited/parent scratch instead of per-insertion dicts, int
 adjacency instead of ``Edge``-object chasing, and derivation reasons read
 from a flat literal pool.  :class:`AddResult` is a thin view over those
 search trees -- it captures parent *packed edge ids* as parallel lists
-(plain ints, immune to later epoch reuse) and materializes the historical
-``parent_b``/``parent_f`` ``Edge``-dict views only on demand.
+(plain ints, immune to later epoch reuse) and builds ``node -> parent``
+maps only on demand.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ class AddResult:
         cycle: True if the insertion would close a cycle (edge rejected).
         back_nodes: nodes reached by the backward search (includes ``src``).
         fwd_nodes: nodes reached by the forward search (includes ``dst``).
-        parent_b: for each backward node ``x`` (except ``src``), the edge
-            ``x -> y`` it was discovered through (``y`` closer to ``src``);
-            following the chain reconstructs the path ``x ⇝ src``.  A view
-            rebuilt from the packed parent ids on each access -- hot-path
-            code uses :meth:`back_map` instead.
-        parent_f: for each forward node ``x`` (except ``dst``), the edge
-            ``y -> x`` it was discovered through; following the chain
-            reconstructs the path ``dst ⇝ x``.  View; see :meth:`fwd_map`.
         fast_path: the insertion was accepted on the ``ord[u] < ord[v]``
             fast path, i.e. without running the two-way search.  The B/F
             sets are then the trivial ``{u}`` / ``{v}``, so unit-edge
@@ -114,22 +106,6 @@ class AddResult:
             m = dict(zip(self.fwd_nodes, self._fwd_par))
             self._fmap = m
         return m
-
-    @property
-    def parent_b(self) -> Dict[int, Optional[Edge]]:
-        edges = self._graph.edges
-        return {
-            n: (edges[p] if p >= 0 else None)
-            for n, p in zip(self.back_nodes, self._back_par)
-        }
-
-    @property
-    def parent_f(self) -> Dict[int, Optional[Edge]]:
-        edges = self._graph.edges
-        return {
-            n: (edges[p] if p >= 0 else None)
-            for n, p in zip(self.fwd_nodes, self._fwd_par)
-        }
 
     def back_path_reason(self, node: int) -> List[int]:
         """Ordering literals along the path ``node ⇝ src``."""

@@ -1,22 +1,27 @@
 """Grid-parallel batch verification for the benchmark harness.
 
-:func:`verify_batch` runs a (tasks × configs) grid across a process pool
-and returns the same ``{config_name: [TaskResult ...]}`` shape as
+:func:`verify_batch` runs a (tasks × configs) grid on the shared supervised
+pool (:class:`repro.robustness.pool.WorkerPool`) and returns the same
+``{config_name: [TaskResult ...]}`` shape as
 :func:`repro.bench.harness.run_suite`, with rows aligned to the task
 order.  Cell order within the pool is unordered; the grid assembly is
 deterministic.  Per-cell budgets are the engines' own cooperative
 ``time_limit_s`` (exactly as in serial runs), so verdicts are identical to
-``run_suite`` modulo wall-clock noise.
+``run_suite`` modulo wall-clock noise.  A cell that raises, or whose
+worker dies or hangs, becomes an ERROR cell instead of stalling the grid,
+and its diagnostic is issued as a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import warnings
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.bench.harness import TaskResult, execute_task
 from repro.bench.task import Task
-from repro.verify import VerifierConfig
+from repro.robustness.pool import WorkerPool
+from repro.verify import Verdict, VerifierConfig
 from repro.verify.config import PRESETS
 
 __all__ = ["verify_batch"]
@@ -55,12 +60,9 @@ def _named_specs(
     return named
 
 
-def _batch_cell(payload):
-    """Pool entry point: run one (task, config) cell."""
-    name, index, task, config, measure_memory = payload
-    from repro.bench.harness import execute_task
-
-    return name, index, execute_task(task, config, measure_memory)
+def _cell_job(task: Task, config: VerifierConfig, measure_memory: bool) -> Dict:
+    """Pool job function: run one (task, config) cell."""
+    return {"result": execute_task(task, config, measure_memory)}
 
 
 def verify_batch(
@@ -86,25 +88,45 @@ def verify_batch(
         the exact shape :func:`run_suite` produces.
     """
     named = _named_specs(configs)
-    cells = []
-    for name, spec in named:
-        for index, task in enumerate(tasks):
-            cells.append(
-                (name, index, task, _config_for(spec, task, time_limit_s),
-                 measure_memory)
-            )
+    cells = [
+        (name, index, task, _config_for(spec, task, time_limit_s))
+        for name, spec in named
+        for index, task in enumerate(tasks)
+    ]
     results: Dict[str, List] = {name: [None] * len(tasks) for name, _ in named}
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = min(jobs, max(1, len(cells)))
     if jobs <= 1:
-        for payload in cells:
-            name, index, task_result = _batch_cell(payload)
-            results[name][index] = task_result
+        for name, index, task, config in cells:
+            results[name][index] = execute_task(task, config, measure_memory)
         return results
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ctx.Pool(processes=jobs) as pool:
-        for name, index, task_result in pool.imap_unordered(_batch_cell, cells):
-            results[name][index] = task_result
+    from concurrent.futures import as_completed
+
+    pool = WorkerPool(_cell_job, size=jobs)
+    try:
+        futures = {}
+        for cell in cells:
+            _, _, task, config = cell
+            futures[pool.submit(task, config, measure_memory)[1]] = cell
+        pool.seal()
+        for fut in as_completed(futures):
+            name, index, task, config = futures[fut]
+            payload = fut.result()
+            if "error" in payload:
+                # The cell raised, or its worker died or hung: an ERROR
+                # cell, with the diagnostic kept apart from an ERROR verdict.
+                warnings.warn(
+                    f"verify_batch: cell {task.name} x {config.name}: "
+                    f"{payload['error']}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                payload["result"] = TaskResult(
+                    task.name, task.category, config.name, Verdict.ERROR,
+                    None, 0.0,
+                )
+            results[name][index] = payload["result"]
+    finally:
+        pool.shutdown()
     return results

@@ -4,44 +4,41 @@ Each configuration runs :func:`repro.verify.verify` in its own worker
 process (engines are CPU-bound pure Python, so processes -- not threads --
 are the only way to use more than one core).  As soon as one worker
 reports SAFE or UNSAFE, the remaining workers are cancelled with SIGTERM;
-ties between workers that finished in the same poll interval are broken
-deterministically in favour of the earliest configuration in the
+ties between workers that have finished by the time the first conclusive
+verdict is seen are broken in favour of the earliest configuration in the
 portfolio.  With ``jobs=1`` the portfolio degrades gracefully to serial
 execution in portfolio order, stopping at the first conclusive verdict --
 same winner rule, no processes.
 
-The parallel race is hardened against misbehaving workers:
-
-* every worker posts **heartbeats**; a worker that stays alive but stops
-  heartbeating for ``hang_timeout_s`` is declared hung and killed
-  (``status="error"``) instead of stalling the race;
-* a worker that **dies without reporting** (OOM-killed, segfaulted
-  extension, :data:`os.kill`) is reaped as ``status="error"``;
-* cancellation escalates: SIGTERM, then SIGKILL after ``term_grace_s``
-  for workers that ignore the termination request.
+The parallel race runs on the shared supervised pool
+(:class:`repro.robustness.pool.WorkerPool`), one fresh process per
+configuration, so it inherits the pool's hardening: a worker that **dies
+without reporting** or stops heartbeating for ``hang_timeout_s`` comes back
+as ``status="error"`` instead of stalling the race, and losers are
+cancelled with SIGTERM, then SIGKILL after ``term_grace_s``.
 
 With ``share_clauses=True`` the members whose configs produce the
 identical CNF encoding (grouped by
 :func:`repro.portfolio.sharing.encoding_signature`) exchange short learned
-clauses while they race: workers publish them as ``"cl"`` messages on the
-result queue and the parent relays each batch to the import queues of the
-publisher's group siblings, who pull them in at their next restart
-boundary.  Sharing never changes a verdict -- only which engine reaches it
-first -- because shared clauses are consequences of the common formula.
+clauses while they race: a worker posts each batch to the parent, which
+relays it to the import queues of the publisher's group siblings, who pull
+them in at their next restart boundary.  Sharing never changes a verdict
+-- only which engine reaches it first -- because shared clauses are
+consequences of the common formula.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.lang import ast
 from repro.portfolio.sharing import share_groups
+from repro.robustness import pool as pool_mod
 from repro.robustness.faults import fault_point
 from repro.sat import sharing as sat_sharing
 from repro.verify import Verdict, VerificationResult, VerifierConfig, verify
@@ -50,12 +47,6 @@ from repro.verify.config import PRESETS
 __all__ = ["EngineRun", "PortfolioResult", "verify_portfolio"]
 
 _CONCLUSIVE = (Verdict.SAFE, Verdict.UNSAFE)
-
-#: Seconds a terminated worker gets to exit before SIGKILL.
-_TERM_GRACE_S = 5.0
-
-#: Interval between worker heartbeats.
-_HEARTBEAT_S = 0.2
 
 
 @dataclass
@@ -146,64 +137,33 @@ def _source_of(program: Union[str, ast.Program]) -> str:
     return unparse(program)
 
 
-def _worker(
-    source: str,
-    config: VerifierConfig,
-    index: int,
-    out_queue,
-    heartbeat_s: float = _HEARTBEAT_S,
-    share_queue=None,
-    share_signature=None,
-) -> None:
-    """Process entry point: verify and report (index, kind, payload).
+def _race_member(source, cfgs, inboxes, index: int) -> Dict:
+    """Pool job function: run portfolio member ``index``.
 
-    ``kind`` is ``"ok"`` (payload: the result), ``"error"`` (payload: a
-    message), ``"hb"`` (heartbeat, payload: None) or ``"cl"`` (payload: a
-    list of learned-clause tuples for the parent to relay).  Heartbeats
-    come from a daemon thread so the parent can distinguish a slow worker
-    from a hung one.  When ``share_queue`` is given, a
-    :class:`~repro.sat.sharing.ShareChannel` is attached process-wide:
-    exports travel out as ``"cl"`` messages, imports arrive on
-    ``share_queue`` (one list of clause tuples per item).
+    ``inboxes`` maps each clause-sharing member to ``(signature, import
+    queue)``; a member with an inbox attaches a
+    :class:`~repro.sat.sharing.ShareChannel` process-wide whose exports are
+    posted to the parent for relaying and whose imports come from its queue.
     """
-    stop = threading.Event()
+    if index in inboxes:
+        signature, inbox = inboxes[index]
 
-    def _beat() -> None:
-        while not stop.wait(heartbeat_s):
-            try:
-                out_queue.put((index, "hb", None))
-            except Exception:  # queue torn down: parent is gone
-                return
-
-    beater = threading.Thread(target=_beat, daemon=True)
-    beater.start()
-    if share_queue is not None:
         def _send(clauses) -> None:
-            try:
-                out_queue.put((index, "cl", clauses))
-            except Exception:  # queue torn down: race already decided
-                pass
+            pool_mod.post((index, clauses))
 
         def _recv():
             items = []
             while True:
                 try:
-                    items.extend(share_queue.get_nowait())
+                    items.extend(inbox.get_nowait())
                 except (queue_mod.Empty, OSError):
-                    break
-            return items
+                    return items
 
         sat_sharing.attach(
-            sat_sharing.ShareChannel(_send, _recv, signature=share_signature)
+            sat_sharing.ShareChannel(_send, _recv, signature=signature)
         )
-    try:
-        fault_point("portfolio_worker")
-        result = verify(source, config)
-        stop.set()
-        out_queue.put((index, "ok", result))
-    except BaseException as exc:  # noqa: BLE001 - report, don't crash silently
-        stop.set()
-        out_queue.put((index, "error", f"{type(exc).__name__}: {exc}"))
+    fault_point("portfolio_worker")
+    return {"result": verify(source, cfgs[index])}
 
 
 def verify_portfolio(
@@ -212,9 +172,9 @@ def verify_portfolio(
     jobs: Optional[int] = None,
     time_limit_s: Optional[float] = None,
     wall_budget_s: Optional[float] = None,
-    hang_timeout_s: Optional[float] = 30.0,
-    term_grace_s: float = _TERM_GRACE_S,
-    heartbeat_s: float = _HEARTBEAT_S,
+    hang_timeout_s: Optional[float] = pool_mod.HANG_TIMEOUT_S,
+    term_grace_s: float = pool_mod.TERM_GRACE_S,
+    heartbeat_s: float = pool_mod.HEARTBEAT_S,
     share_clauses: bool = False,
 ) -> PortfolioResult:
     """Race a portfolio of engine configurations on one program.
@@ -338,6 +298,8 @@ def _run_parallel(
     heartbeat_s: float,
     share_clauses: bool = False,
 ) -> PortfolioResult:
+    from concurrent.futures import FIRST_COMPLETED, wait
+
     source = _source_of(program)
     # Fail fast in the parent on malformed input instead of collecting
     # one identical parse error per worker.
@@ -345,168 +307,74 @@ def _run_parallel(
 
     parse(source)
 
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    out_q = ctx.Queue()
     # Clause sharing: per-member import queues, and for each member the
     # encoding-group siblings its exports are relayed to.
-    share_sig: Dict[int, tuple] = {}
-    share_peers: Dict[int, List[int]] = {}
-    share_in: Dict[int, multiprocessing.queues.Queue] = {}
-    shared_count = 0
+    inboxes: Dict[int, tuple] = {}
+    peers: Dict[int, List[int]] = {}
     if share_clauses:
         for sig, idxs in share_groups(cfgs).items():
             for i in idxs:
-                share_sig[i] = sig
-                share_peers[i] = [j for j in idxs if j != i]
-                share_in[i] = ctx.Queue()
+                inboxes[i] = (sig, pool_mod.CONTEXT.Queue())
+                peers[i] = [j for j in idxs if j != i]
+    shared = 0
+
+    def relay(posted) -> None:
+        nonlocal shared
+        i, clauses = posted
+        shared += len(clauses)
+        for j in peers[i]:
+            inboxes[j][1].put(clauses)
+
+    pool = pool_mod.WorkerPool(
+        functools.partial(_race_member, source, cfgs, inboxes),
+        size=min(jobs, len(cfgs)),
+        recycle_after=1,  # a fresh process per configuration
+        hang_timeout_s=hang_timeout_s,
+        heartbeat_s=heartbeat_s,
+        term_grace_s=term_grace_s,
+        on_post=relay,
+    )
     runs = [EngineRun(c.name, "cancelled") for c in cfgs]
-    procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-    launched_at: Dict[int, float] = {}
-    last_beat: Dict[int, float] = {}
-    pending = list(range(len(cfgs)))
+    members = {pool.submit(i)[1]: i for i in range(len(cfgs))}
+    pool.seal()
+    pending = set(members)
     conclusive: List[int] = []
-    winner_idx: Optional[int] = None
-
-    def record(i: int, kind: str, payload) -> None:
-        if runs[i].status != "running":
-            return  # late message from a worker already reaped/killed
-        elapsed = time.monotonic() - launched_at[i]
-        if kind == "error":
-            runs[i] = EngineRun(
-                cfgs[i].name, "error", wall_time_s=elapsed, error=payload
-            )
-        else:
-            runs[i] = _run_from_result(cfgs[i].name, payload)
-
-    def reap(i: int, timeout: Optional[float] = None) -> None:
-        proc = procs.pop(i, None)
-        if proc is not None:
-            proc.join(timeout=term_grace_s if timeout is None else timeout)
-
-    def kill_escalating(i: int, error: str) -> None:
-        """SIGTERM ``i``, SIGKILL it after the grace period, record
-        ``error``."""
-        proc = procs.pop(i)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=term_grace_s)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=1.0)
-        if runs[i].status == "running":
-            runs[i] = EngineRun(
-                cfgs[i].name, "error",
-                wall_time_s=time.monotonic() - launched_at[i],
-                error=error,
-            )
-
     try:
-        while True:
-            now = time.monotonic()
-            while pending and len(procs) < jobs:
-                i = pending.pop(0)
-                proc = ctx.Process(
-                    target=_worker,
-                    args=(
-                        source, cfgs[i], i, out_q, heartbeat_s,
-                        share_in.get(i), share_sig.get(i),
-                    ),
-                    daemon=True,
-                )
-                launched_at[i] = last_beat[i] = time.monotonic()
-                proc.start()
-                procs[i] = proc
-                runs[i] = EngineRun(cfgs[i].name, "running")
-            if not procs:
-                break
-            try:
-                i, kind, payload = out_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                now = time.monotonic()
-                # Reap workers that died without reporting (OOM-kill, ...).
-                for i in [k for k, p in procs.items() if not p.is_alive()]:
-                    reap(i)
-                    if runs[i].status == "running":
-                        runs[i] = EngineRun(
-                            cfgs[i].name, "error",
-                            wall_time_s=now - launched_at[i],
-                            error="worker exited without reporting a result",
-                        )
-                # Kill workers that are alive but silent: a worker that
-                # stops heartbeating is hung (deadlock, SIGSTOP, runaway
-                # C loop) and must not stall the race forever.
-                if hang_timeout_s is not None:
-                    hung = [
-                        k for k in procs
-                        if now - last_beat[k] > hang_timeout_s
-                    ]
-                    for i in hung:
-                        kill_escalating(
-                            i,
-                            "worker hung: no heartbeat for "
-                            f"{now - last_beat[i]:.1f}s",
-                        )
-                if wall_budget_s is not None and now - start > wall_budget_s:
-                    break
-                continue
-            if kind == "hb":
-                last_beat[i] = time.monotonic()
-                continue
-            if kind == "cl":
-                # Relay the batch to the publisher's encoding-group
-                # siblings; they import at their next restart boundary.
-                shared_count += len(payload)
-                for j in share_peers.get(i, ()):
-                    q = share_in.get(j)
-                    if q is not None:
-                        try:
-                            q.put(payload)
-                        except Exception:
-                            pass
-                continue
-            record(i, kind, payload)
-            reap(i)
-            if runs[i].status == "conclusive":
-                conclusive.append(i)
-                # Deterministic tie-break: drain everything that finished
-                # in the same interval, then prefer the earliest config.
-                while True:
-                    try:
-                        j, kind2, payload2 = out_q.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    if kind2 in ("hb", "cl"):
-                        continue  # race decided: no relaying needed
-                    record(j, kind2, payload2)
-                    reap(j)
-                    if runs[j].status == "conclusive":
-                        conclusive.append(j)
-                winner_idx = min(conclusive)
-                break
+        while pending and not conclusive:
+            timeout = None
+            if wall_budget_s is not None:
+                timeout = max(0.0, start + wall_budget_s - time.monotonic())
+            done, pending = wait(pending, timeout, FIRST_COMPLETED)
+            if not done:
+                break  # wall budget expired: the losers are cancelled below
+            # Deterministic tie-break: everything finished by now counts,
+            # and the earliest config among them wins.
+            done |= {f for f in pending if f.done()}
+            pending -= done
+            for fut in done:
+                i = members[fut]
+                payload = fut.result()
+                if "error" in payload:
+                    runs[i] = EngineRun(
+                        cfgs[i].name, "error",
+                        wall_time_s=time.monotonic() - start,
+                        error=payload["error"],
+                    )
+                else:
+                    runs[i] = _run_from_result(cfgs[i].name, payload["result"])
+                if runs[i].status == "conclusive":
+                    conclusive.append(i)
     finally:
-        # Cancel the losers: SIGTERM, then SIGKILL stragglers.
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + term_grace_s
-        for i, proc in list(procs.items()):
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-            if runs[i].status == "running":
-                runs[i] = EngineRun(
-                    cfgs[i].name, "cancelled",
-                    wall_time_s=time.monotonic() - launched_at[i],
-                )
-        out_q.close()
-        for q in share_in.values():
+        pool.shutdown(wait_s=0.0)
+        for _, inbox in inboxes.values():
             # Don't block interpreter exit on relayed batches a cancelled
             # worker never drained.
-            q.close()
-            q.cancel_join_thread()
-    return _finish(runs, winner_idx, start, shared_count)
+            inbox.close()
+            inbox.cancel_join_thread()
+    for fut in pending:
+        runs[members[fut]].wall_time_s = time.monotonic() - start
+    winner_idx = min(conclusive) if conclusive else None
+    return _finish(runs, winner_idx, start, shared)
 
 
 def _finish(

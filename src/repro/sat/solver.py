@@ -108,86 +108,6 @@ class SolverStats:
         }
 
 
-class _ClauseView:
-    """Stable handle for an arena clause.
-
-    Keyed by the clause's stable cid, so identity survives arena
-    compaction; ``lits`` reads through ``cid2ref`` and always reflects
-    the clause's current literal order (watched literals first).
-    """
-
-    __slots__ = ("_arena", "cid")
-
-    def __init__(self, arena, cid: int) -> None:
-        self._arena = arena
-        self.cid = cid
-
-    @property
-    def lits(self) -> List[int]:
-        arena = self._arena
-        cref = arena.cid2ref[self.cid]
-        base = cref + 2
-        return arena.data[base : base + (arena.data[cref] >> 2)]
-
-    @property
-    def learned(self) -> bool:
-        cref = self._arena.cid2ref[self.cid]
-        return bool(self._arena.data[cref] & 2)
-
-    @property
-    def activity(self) -> float:
-        return self._arena.activity[self.cid]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, _ClauseView)
-            and other.cid == self.cid
-            and other._arena is self._arena
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self._arena), self.cid))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Clause({self.lits}{' L' if self.learned else ''})"
-
-
-class _TheoryReasonView:
-    """Handle for a transient theory-propagation reason (pool slot)."""
-
-    __slots__ = ("_kernel", "slot")
-
-    def __init__(self, kernel: BoolKernel, slot: int) -> None:
-        self._kernel = kernel
-        self.slot = slot
-
-    @property
-    def lits(self) -> List[int]:
-        return self._kernel.treason[self.slot]
-
-    learned = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TheoryReason({self.lits})"
-
-
-class _ReasonMap:
-    """``solver._reason[v]`` compatibility view over integer reason refs."""
-
-    __slots__ = ("_solver",)
-
-    def __init__(self, solver: "Solver") -> None:
-        self._solver = solver
-
-    def __getitem__(self, v: int):
-        r = self._solver.kernel.reason[v]
-        if r == NO_REASON:
-            return None
-        if r >= 0:
-            return self._solver._clause_view_by_ref(r)
-        return self._solver._theory_reason_view(-2 - r)
-
-
 #: Memoized Luby sequence (satellite: ``luby`` used to re-derive the
 #: sequence from scratch on every restart).
 _LUBY_CACHE: List[int] = []
@@ -264,10 +184,6 @@ class Solver:
         #: Optional clause-exchange endpoint (portfolio clause sharing).
         self.share: Optional[ShareChannel] = None
         self.stats = SolverStats()
-        # Stable clause handles for the _learned/_watches/_reason views.
-        self._views: Dict[int, _ClauseView] = {}
-        self._treason_views: Dict[int, _TheoryReasonView] = {}
-        self._reason_map = _ReasonMap(self)
         #: Debug-mode invariant auditing (``REPRO_AUDIT=1`` or
         #: ``VerifierConfig.audit``): checks that theory conflict clauses
         #: are falsified, propagation reasons are well-formed, and unsat
@@ -282,64 +198,14 @@ class Solver:
         self.telemetry = None
 
     # ------------------------------------------------------------------
-    # Pre-rewrite object surface (tests, export, debugging)
+    # Problem construction
     # ------------------------------------------------------------------
-
-    def _clause_view_by_ref(self, cref: int) -> _ClauseView:
-        cid = self.kernel.arena.data[cref + 1]
-        view = self._views.get(cid)
-        if view is None:
-            view = self._views[cid] = _ClauseView(self.kernel.arena, cid)
-        return view
-
-    def _theory_reason_view(self, slot: int) -> _TheoryReasonView:
-        view = self._treason_views.get(slot)
-        if view is None:
-            view = self._treason_views[slot] = _TheoryReasonView(self.kernel, slot)
-        return view
-
-    @property
-    def _clauses(self) -> List[_ClauseView]:
-        """Problem clauses as stable views (cold-path compatibility)."""
-        return [self._clause_view_by_ref(c) for c in self._clause_refs]
-
-    @property
-    def _learned(self) -> List[_ClauseView]:
-        """Learned clauses as stable views (cold-path compatibility)."""
-        return [self._clause_view_by_ref(c) for c in self._learned_refs]
-
-    @property
-    def _watches(self) -> List[List[_ClauseView]]:
-        """Watcher lists as clause views, indexed by :meth:`_widx`."""
-        out: List[List[_ClauseView]] = []
-        for wl in self.kernel.watch:
-            entry = []
-            for i in range(0, len(wl), 2):
-                tag = wl[i]
-                entry.append(
-                    self._clause_view_by_ref(tag - 1 if tag > 0 else -tag - 1)
-                )
-            out.append(entry)
-        return out
-
-    @property
-    def _reason(self) -> _ReasonMap:
-        """Per-variable reason clauses as stable views (``None`` if free)."""
-        return self._reason_map
-
-    @property
-    def _qhead(self) -> int:
-        return self.kernel.qhead
 
     @property
     def num_clauses(self) -> int:
         """Problem clauses stored (units and clauses satisfied at level 0
         are absorbed by :meth:`add_clause`, not stored)."""
         return len(self._clause_refs)
-
-    # ------------------------------------------------------------------
-    # Problem construction
-    # ------------------------------------------------------------------
 
     def new_var(self, relevant: bool = False) -> int:
         """Allocate a fresh variable; returns its (positive) index.
@@ -1202,19 +1068,14 @@ class Solver:
             else:
                 keep.append(cref)
         self._learned_refs = keep
-        # Compact once dead clauses dominate the arena; clause handles
-        # stay valid (they are keyed by cid, not by offset).
+        # Compact once dead clauses dominate the arena; clause ids stay
+        # valid (``cid2ref`` follows the moves).
         if arena.dead_words > 4096 and arena.dead_words * 2 > len(data):
             kernel.compact_arena([self._clause_refs, self._learned_refs])
 
     # ------------------------------------------------------------------
-    # Watches plumbing (compatibility + cold paths)
+    # Cold-path helpers
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _widx(lit: int) -> int:
-        v = lit if lit > 0 else -lit
-        return 2 * v + (0 if lit > 0 else 1)
 
     def _value(self, lit: int) -> int:
         v = self._assign[abs(lit)]

@@ -4,7 +4,7 @@
 running TCP daemon (:meth:`ServiceClient.connect`) or owning a private
 stdio daemon it spawned as a subprocess (:meth:`ServiceClient.spawn`,
 handy for tests and one-off scripts: the server dies with the client).
-:class:`AsyncServiceClient` is the asyncio variant for TCP.
+:class:`AsyncServiceClient` is an asyncio facade over it for TCP.
 
 Both speak the JSON-lines protocol of :mod:`repro.service.protocol` and
 translate wire results back into first-class
@@ -46,6 +46,7 @@ garbage-collected, so leaked clients cannot strand daemon processes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import queue as queue_mod
@@ -57,7 +58,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.service import protocol
 from repro.verify.config import VerifierConfig
@@ -175,12 +176,12 @@ def _checked(response: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class _RequestMatcher:
-    """Shared id-assignment and response-matching logic.
+    """Id assignment and response matching.
 
-    Responses arrive in completion order, not request order, so both
-    clients stash responses whose id is not the one currently awaited
-    (relevant once callers pipeline by issuing requests from several
-    threads/tasks over one client -- the protocol allows it).
+    Responses arrive in completion order, not request order, so the client
+    stashes responses whose id is not the one currently awaited (relevant
+    once callers pipeline by issuing requests from several threads or
+    async tasks over one client -- the protocol allows it).
     """
 
     def __init__(self) -> None:
@@ -273,8 +274,12 @@ class ServiceClient:
         # arrive in time raises through the buffered stream, the client
         # discards the (now unframed) connection and reconnects.
         sock.settimeout(read_timeout)
-        stream = sock.makefile("rw", encoding="utf-8", newline="\n")
-        return sock, stream
+        # Separate read and write streams: a write on a shared "rw" text
+        # stream discards its decoded read-ahead, which loses responses
+        # when threads pipeline requests over one connection.
+        reader = sock.makefile("r", encoding="utf-8", newline="\n")
+        writer = sock.makefile("w", encoding="utf-8", newline="\n")
+        return sock, reader, writer
 
     @classmethod
     def connect(
@@ -293,10 +298,12 @@ class ServiceClient:
         ``retry`` configures idempotent-op retries across reconnects;
         ``hedge_after_s`` enables tail-latency hedging of ``verify``.
         """
-        sock, stream = cls._open_socket(address, timeout, request_timeout_s)
+        sock, reader, writer = cls._open_socket(
+            address, timeout, request_timeout_s
+        )
         return cls(
-            stream,
-            stream,
+            reader,
+            writer,
             sock=sock,
             address=address,
             connect_timeout_s=timeout,
@@ -351,18 +358,10 @@ class ServiceClient:
         if self._address is None:
             raise ServiceUnavailable("connection lost (not reconnectable)")
         with self._write_lock:
-            for closer in (self._reader, self._sock):
-                try:
-                    if closer is not None:
-                        closer.close()
-                except OSError:
-                    pass
-            sock, stream = self._open_socket(
+            self._close_socket()
+            self._sock, self._reader, self._writer = self._open_socket(
                 self._address, self._connect_timeout_s, self._request_timeout_s
             )
-            self._sock = sock
-            self._reader = stream
-            self._writer = stream
             self._broken = False
 
     def request(self, op: str, **fields: Any) -> Dict[str, Any]:
@@ -585,15 +584,23 @@ class ServiceClient:
             except OSError:
                 pass
             return
-        for stream in {self._writer, self._reader}:
-            try:
-                stream.close()
-            except OSError:
-                pass
+        self._close_socket()
+
+    def _close_socket(self) -> None:
+        """Close the TCP connection.  The socket shuts down first, so a
+        thread blocked reading (a hedged primary, say) wakes with EOF
+        instead of holding the read stream's lock through ``close``."""
+        closers = [self._reader, self._writer]
         if self._sock is not None:
             try:
-                self._sock.close()
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
+                pass
+            closers.append(self._sock)
+        for closer in closers:
+            try:
+                closer.close()
+            except (OSError, ValueError):
                 pass
 
     def __enter__(self) -> "ServiceClient":
@@ -603,51 +610,51 @@ class ServiceClient:
         self.close()
 
 
+def _in_thread(name: str):
+    """An awaitable twin of ``ServiceClient.<name>`` that runs the sync
+    call on the client's own threads."""
+
+    async def method(self, *args: Any, **kwargs: Any) -> Any:
+        return await self._call(
+            getattr(self._client, name), *args, **kwargs
+        )
+
+    method.__name__ = name
+    method.__doc__ = f"Awaitable :meth:`ServiceClient.{name}`."
+    return method
+
+
 class AsyncServiceClient:
-    """Asyncio TCP client mirroring :class:`ServiceClient`, including
-    connect/request timeouts, idempotent retries, and hedging."""
+    """Asyncio facade over :class:`ServiceClient` for TCP.
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        address: Optional[str] = None,
-        connect_timeout_s: float = 10.0,
-        request_timeout_s: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        hedge_after_s: Optional[float] = None,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._address = address
-        self._connect_timeout_s = connect_timeout_s
-        self._request_timeout_s = request_timeout_s
-        self._retry = retry or RetryPolicy()
-        self._hedge_after_s = hedge_after_s
-        self._matcher = _RequestMatcher()
-        self._read_lock = asyncio.Lock()
-        self._closed = False
-        self._broken = False
+    Every call runs the sync client's method on a thread of the client's
+    own executor, so timeouts, idempotent retries, reconnects, the
+    response stash and hedging exist once.  Concurrent awaits pipeline
+    over the one connection, exactly as concurrent threads do on the sync
+    client; up to :attr:`MAX_IN_FLIGHT` of them are on the wire at once
+    (the rest wait for a thread), and the loop's default executor is left
+    to its other users.  Cancelling an await abandons its response: the
+    request itself runs to completion or to ``request_timeout_s``.
+    """
 
-    @staticmethod
-    async def _open_streams(address: str, timeout: float):
-        host, _, port_text = address.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise ValueError(f"expected HOST:PORT, got {address!r}")
-        try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(host, int(port_text)),
-                timeout=timeout,
-            )
-        except asyncio.TimeoutError:
-            raise ServiceTimeout(
-                f"connect to repro service at {address} timed out "
-                f"after {timeout:g}s"
-            ) from None
-        except OSError as exc:
-            raise ServiceUnavailable(
-                f"cannot connect to repro service at {address}: {exc}"
-            ) from None
+    #: Calls one client keeps in flight at once (threads are started
+    #: only as concurrency demands them).
+    MAX_IN_FLIGHT = 128
+
+    def __init__(self, client: ServiceClient) -> None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._client = client
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.MAX_IN_FLIGHT,
+            thread_name_prefix="repro-async-client",
+        )
+
+    async def _call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._executor, functools.partial(fn, *args, **kwargs)
+        )
 
     @classmethod
     async def connect(
@@ -658,193 +665,32 @@ class AsyncServiceClient:
         retry: Optional[RetryPolicy] = None,
         hedge_after_s: Optional[float] = None,
     ) -> "AsyncServiceClient":
-        reader, writer = await cls._open_streams(address, timeout)
-        return cls(
-            reader,
-            writer,
-            address=address,
-            connect_timeout_s=timeout,
+        """Connect to a running TCP daemon (see :meth:`ServiceClient.connect`)."""
+        client = await asyncio.to_thread(
+            ServiceClient.connect,
+            address,
+            timeout=timeout,
             request_timeout_s=request_timeout_s,
             retry=retry,
             hedge_after_s=hedge_after_s,
         )
+        return cls(client)
 
-    async def _reconnect(self) -> None:
-        if self._address is None:
-            raise ServiceUnavailable("connection lost (not reconnectable)")
-        try:
-            self._writer.close()
-        except Exception:
-            pass
-        self._reader, self._writer = await self._open_streams(
-            self._address, self._connect_timeout_s
-        )
-        self._broken = False
-
-    async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """Like :meth:`ServiceClient.request`: idempotent ops retry with
-        backoff across reconnects on transport failures."""
-        retryable = op != "shutdown" and self._address is not None
-        attempts = self._retry.attempts if retryable else 1
-        last_exc: Optional[ServiceError] = None
-        for attempt in range(attempts):
-            if attempt:
-                await asyncio.sleep(self._retry.delay(attempt - 1))
-            if self._broken and self._address is not None:
-                try:
-                    await self._reconnect()
-                except ServiceError as exc:
-                    last_exc = exc
-                    continue
-            try:
-                return await self._request_once(op, fields)
-            except (ServiceTimeout, ServiceUnavailable) as exc:
-                self._broken = True
-                last_exc = exc
-        assert last_exc is not None
-        raise last_exc
-
-    async def _request_once(
-        self, op: str, fields: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if self._closed:
-            raise ServiceError("client is closed")
-        request_id = self._matcher.next_id()
-        payload = {"id": request_id, "op": op}
-        payload.update(fields)
-        try:
-            self._writer.write(protocol.encode(payload).encode("utf-8"))
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            raise ServiceUnavailable(f"cannot send request: {exc}") from None
-        while True:
-            stashed = self._matcher.take(request_id)
-            if stashed is not None:
-                return stashed
-            # One reader at a time; concurrent awaiters pick their own
-            # responses out of the stash on the next loop turn.
-            async with self._read_lock:
-                stashed = self._matcher.take(request_id)
-                if stashed is not None:
-                    return stashed
-                try:
-                    raw = await asyncio.wait_for(
-                        self._reader.readline(),
-                        timeout=self._request_timeout_s,
-                    )
-                except asyncio.TimeoutError:
-                    raise ServiceTimeout(
-                        "no response within "
-                        f"{self._request_timeout_s:g}s"
-                    ) from None
-                except (ConnectionError, OSError) as exc:
-                    raise ServiceUnavailable(
-                        f"cannot read response: {exc}"
-                    ) from None
-                if not raw:
-                    raise ServiceUnavailable("server closed the connection")
-                line = raw.decode("utf-8", errors="replace")
-                if not line.strip():
-                    continue
-                response = _decode_response(line)
-                if self._matcher.offer(response, request_id):
-                    return response
-
-    async def verify(
-        self,
-        program: Union[str, Any],
-        config: Optional[Union[VerifierConfig, Dict]] = None,
-        deadline_s: Optional[float] = None,
-        language: Optional[str] = None,
-        filename: Optional[str] = None,
-    ) -> VerificationResult:
-        fields = _prepare_verify_fields(
-            program, config, deadline_s, language=language, filename=filename
-        )
-        if self._hedge_after_s is None or self._address is None:
-            return _result_from_response(
-                await self.request("verify", **fields)
-            )
-        return _result_from_response(await self._hedged_request(fields))
-
-    async def _hedged_request(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        """Race the primary connection against a late second connection
-        carrying the same request; first answer wins (see
-        :meth:`ServiceClient.verify` for why this is safe)."""
-
-        async def _hedge() -> Dict[str, Any]:
-            hedge_client = await AsyncServiceClient.connect(
-                self._address,
-                timeout=self._connect_timeout_s,
-                request_timeout_s=self._request_timeout_s,
-                retry=self._retry,
-            )
-            try:
-                return await hedge_client.request("verify", **fields)
-            finally:
-                await hedge_client.close()
-
-        primary = asyncio.ensure_future(self.request("verify", **fields))
-        done, _ = await asyncio.wait({primary}, timeout=self._hedge_after_s)
-        if primary in done:
-            return primary.result()
-        pending = {primary, asyncio.ensure_future(_hedge())}
-        last_exc: Optional[BaseException] = None
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                if task.cancelled():
-                    continue
-                if task.exception() is None:
-                    for other in pending:
-                        other.cancel()
-                    return task.result()
-                last_exc = task.exception()
-        assert last_exc is not None
-        raise last_exc
-
-    async def analyze(
-        self, program: Union[str, Any], unwind: int = 8, width: int = 8
-    ) -> Dict[str, Any]:
-        fields = _prepare_verify_fields(program, None, None)
-        response = _checked(
-            await self.request("analyze", unwind=unwind, width=width, **fields)
-        )
-        from repro.analysis.races import RaceWarning
-
-        report = dict(response["report"])
-        report["races"] = [RaceWarning.from_dict(w) for w in report["races"]]
-        return report
-
-    async def ping(self) -> Dict[str, Any]:
-        return _checked(await self.request("ping"))
-
-    async def stats(self) -> Dict[str, Any]:
-        return _checked(await self.request("stats"))["stats"]
-
-    async def health(self) -> Dict[str, Any]:
-        return _checked(await self.request("health"))["health"]
-
-    async def ready(self) -> bool:
-        return bool(_checked(await self.request("ready"))["ready"])
-
-    async def shutdown(self) -> None:
-        try:
-            await self.request("shutdown")
-        except ServiceError:
-            pass
+    request = _in_thread("request")
+    verify = _in_thread("verify")
+    analyze = _in_thread("analyze")
+    ping = _in_thread("ping")
+    stats = _in_thread("stats")
+    health = _in_thread("health")
+    ready = _in_thread("ready")
+    shutdown = _in_thread("shutdown")
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """Close the connection and release the client's threads."""
         try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            await self._call(self._client.close)
+        finally:
+            self._executor.shutdown(wait=False)
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return self

@@ -249,11 +249,19 @@ class ServiceServer:
         # readline still blocked there after a ``shutdown`` op would hang
         # the process until the peer closed stdin.  A daemon thread is
         # simply abandoned at interpreter exit.
+        # It reads through its own file object on fd 0: a worker forked
+        # while the thread is parked in readline() would inherit the held
+        # lock of ``sys.stdin``, and a forked process closes ``sys.stdin``
+        # as it starts.
         line_q: "asyncio.Queue[str]" = asyncio.Queue()
+        stdin = open(
+            sys.stdin.fileno(), encoding=sys.stdin.encoding,
+            errors=sys.stdin.errors, closefd=False,
+        )
 
         def _pump_stdin() -> None:
             while True:
-                line = sys.stdin.readline()
+                line = stdin.readline()
                 loop.call_soon_threadsafe(line_q.put_nowait, line)
                 if not line:
                     return  # EOF ('' is the sentinel the loop below sees)
@@ -655,9 +663,7 @@ class ServiceServer:
             ckpt_token = (
                 key_token(key) if self._checkpoint_dir is not None else None
             )
-            _, fut, _ = self.pool.submit(
-                source, config.to_dict(), ckpt_token=ckpt_token
-            )
+            _, fut, _ = self.pool.submit(source, config.to_dict(), ckpt_token)
             timeout = (
                 None if deadline_s is None else deadline_s + _DEADLINE_GRACE_S
             )

@@ -1,104 +1,56 @@
-"""The warm worker pool behind the verification service.
+"""The service's job function and its worker pool.
 
-Verification is CPU-bound pure Python, so concurrency comes from worker
-*processes*.  What makes them "warm" is lifecycle, not magic:
+The pool itself -- warm forked workers, the job claim, heartbeats and hang
+detection, drain-then-reap, kill escalation and recycling -- is
+:class:`repro.robustness.pool.WorkerPool`, shared with the portfolio race
+and the batch grid.  This module fixes its job function to one
+verification request:
 
-* every worker **pre-imports the whole solver stack** on startup (parser,
-  SSA frontend, encoder, SAT core, T_ord theory, baselines), so no job
-  ever pays cold-import latency -- under the default ``fork`` start
-  method the import cost is paid exactly once, in the parent;
-* workers are **recycled** -- retired and replaced by a fresh process --
-  after ``recycle_after`` jobs, and immediately after any job that
-  exhausted its *memory* budget: CPython rarely returns freed heap to the
-  OS, so a worker that just built a pathological encoding stays bloated
-  forever unless replaced.  The pool's ``recycles`` counter is surfaced
-  as the ``worker_recycles`` service stat;
-* a worker that **dies mid-job** (OOM killer, segfault) is detected by
-  the collector; its in-flight jobs fail with an ERROR payload instead of
-  hanging their requests, and a replacement is spawned.
+* a job is a ``(source, config_dict, ckpt_token)`` triple; its payload is
+  ``{"result": ...}`` (the wire-format result, any verdict) or
+  ``{"input_error": ...}`` for bad program text or a bad config dict;
+* a job that ends as a *memory*-budget UNKNOWN retires its worker:
+  CPython rarely returns freed heap to the OS, so a worker that just built
+  a pathological encoding stays bloated forever unless replaced;
+* with a ``checkpoint_dir``, jobs that carry a token get durable
+  per-bound checkpoint/resume through the iterative-deepening loop (see
+  :mod:`repro.service.checkpoints`).
 
-Jobs are ``(source, config_dict, ckpt_token)`` triples submitted with
-:meth:`WorkerPool.submit`, which returns a
-:class:`concurrent.futures.Future` resolving to the wire-format result
-dict -- the asyncio server awaits these with ``asyncio.wrap_future``.
-With a ``checkpoint_dir`` configured, jobs that carry a token get
-durable per-bound checkpoint/resume through the iterative-deepening
-loop (see :mod:`repro.service.checkpoints`).
+:meth:`WorkerPool.submit` returns ``(job_id, future, submitted_at)``; the
+asyncio server awaits the future with ``asyncio.wrap_future``.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
+import functools
 import os
-import queue as queue_mod
-import threading
-import time
-from concurrent.futures import Future
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional
 
-__all__ = ["WorkerPool"]
+from repro.robustness import pool
+
+__all__ = ["WorkerPool", "run_job"]
 
 #: Fallback pool size: half the machine for solving, capped -- the server
 #: process itself needs headroom for parsing/canonicalization.
 _DEFAULT_SIZE = max(1, min(4, (os.cpu_count() or 2) // 2))
 
-#: Message kinds on the result queue.
-_MSG_START = "start"
-_MSG_DONE = "done"
 
+def run_job(
+    checkpoint_dir: Optional[str],
+    source: str,
+    config_dict: Optional[Dict],
+    ckpt_token: Optional[str],
+) -> Dict:
+    """Verify one request in a pool worker; returns its payload.
 
-def _warm_imports() -> None:
-    """Import every module a verification job touches.
-
-    Ordered roughly by import cost; the point is that the *first* job on
-    a fresh worker is as fast as the hundredth.
-    """
-    import repro.lang.parser  # noqa: F401
-    import repro.lang.sema  # noqa: F401
-    import repro.frontend.ssa  # noqa: F401
-    import repro.analysis.prune  # noqa: F401
-    import repro.encoding.encoder  # noqa: F401
-    import repro.encoding.bitblast  # noqa: F401
-    import repro.sat.solver  # noqa: F401
-    import repro.ordering.solver  # noqa: F401
-    import repro.ordering.icd  # noqa: F401
-    import repro.ordering.tarjan  # noqa: F401
-    import repro.baselines.closure  # noqa: F401
-    import repro.baselines.explicit  # noqa: F401
-    import repro.baselines.lazyseq  # noqa: F401
-    import repro.baselines.idl  # noqa: F401
-    import repro.smc.rfsc  # noqa: F401
-    import repro.smc.genmc  # noqa: F401
-    import repro.verify.verifier  # noqa: F401
-    import repro.verify.engines  # noqa: F401
-
-
-def _worker_main(
-    wid: int,
-    job_q,
-    result_q,
-    recycle_after: int,
-    checkpoint_dir: Optional[str] = None,
-    job_slot=None,
-) -> None:
-    """Worker process entry point: warm up, then serve jobs until retired.
-
-    Reports ``(job_id, wid, kind, payload, wall_ts)`` tuples: a ``start``
-    when a job is picked up (lets the parent attribute in-flight jobs and
-    measure queue wait) and a ``done`` with the result payload.  Retires
-    itself -- finishes the current job, announces why, and exits -- after
-    the job quota or a memory-budget-triggered UNKNOWN.
-
-    With a ``checkpoint_dir``, jobs carrying a checkpoint token get
+    With a ``checkpoint_dir``, a job carrying a checkpoint token gets
     durable per-bound progress: an iterative-deepening run saves a
     checkpoint after every completed bound, a re-dispatched job resumes
     its schedule past the last completed bound (stamping
     ``resumed_from_bound`` / ``bounds_skipped`` into the result stats),
-    and a conclusive verdict discards the checkpoint -- the verdict
-    cache takes over as the durable record.
+    and a conclusive verdict discards the checkpoint -- the verdict cache
+    takes over as the durable record.
     """
-    _warm_imports()
     from repro.lang.lexer import LexError
     from repro.lang.parser import ParseError
     from repro.lang.sema import SemanticError
@@ -108,66 +60,33 @@ def _worker_main(
     from repro.verify.config import VerifierConfig
     from repro.verify.verifier import verify_one
 
+    # Chaos hook: kill@service_worker dies here, mid-job from the parent's
+    # point of view (START reported, no DONE coming).
+    fault_point("service_worker")
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    jobs_done = 0
-    while True:
-        item = job_q.get()
-        if item is None:
-            return
-        job_id, source, config_dict, ckpt_token = item
-        # Claim the job in shared memory BEFORE the queue message: queue
-        # puts are flushed by a feeder thread, so a worker killed right
-        # after pickup may die with the START still buffered -- the slot
-        # write is immediate and survives SIGKILL, letting the parent
-        # fail this job instead of hanging its request.
-        if job_slot is not None:
-            job_slot.value = job_id
-        result_q.put((job_id, wid, _MSG_START, None, time.time()))
-        try:
-            # Chaos hook: kill@service_worker dies here, mid-job from the
-            # parent's point of view (START reported, no DONE coming).
-            fault_point("service_worker")
-            config = (
-                VerifierConfig.from_dict(config_dict)
-                if config_dict
-                else VerifierConfig()
-            )
-            config, sink, resumed_from, skipped = _prepare_resume(
-                store, ckpt_token, config, Checkpoint
-            )
-            with checkpoint_sink(sink):
-                result = verify_one(source, config)
-            if resumed_from is not None:
-                result.stats["resumed_from_bound"] = resumed_from
-                result.stats["bounds_skipped"] = skipped
-            if store is not None and ckpt_token and result.verdict in (
-                "safe",
-                "unsafe",
-            ):
-                store.discard(ckpt_token)
-            payload = {"result": result.to_dict()}
-        except (LexError, ParseError, SemanticError, ValueError) as exc:
-            # Input errors: bad program text or a bad config dict.
-            payload = {"input_error": f"{type(exc).__name__}: {exc}"}
-        except BaseException as exc:  # noqa: BLE001 - report, then retire
-            payload = {"error": f"{type(exc).__name__}: {exc}"}
-        jobs_done += 1
-        retire = None
-        if "error" in payload:
-            retire = "crash"
-        elif jobs_done >= recycle_after:
-            retire = "jobs"
-        elif _hit_memory_budget(payload):
-            retire = "memory"
-        payload["retire"] = retire
-        result_q.put((job_id, wid, _MSG_DONE, payload, time.time()))
-        # Release the claim only after the DONE is queued: dying between
-        # the two leaves the slot set, and the parent's drain-then-reap
-        # order resolves the future from whichever record survived.
-        if job_slot is not None:
-            job_slot.value = 0
-        if retire is not None:
-            return
+    try:
+        config = (
+            VerifierConfig.from_dict(config_dict)
+            if config_dict
+            else VerifierConfig()
+        )
+        config, sink, resumed_from, skipped = _prepare_resume(
+            store, ckpt_token, config, Checkpoint
+        )
+        with checkpoint_sink(sink):
+            result = verify_one(source, config)
+    except (LexError, ParseError, SemanticError, ValueError) as exc:
+        # Input errors: bad program text or a bad config dict.
+        return {"input_error": f"{type(exc).__name__}: {exc}"}
+    if resumed_from is not None:
+        result.stats["resumed_from_bound"] = resumed_from
+        result.stats["bounds_skipped"] = skipped
+    if store is not None and ckpt_token and result.verdict in ("safe", "unsafe"):
+        store.discard(ckpt_token)
+    payload = {"result": result.to_dict()}
+    if _hit_memory_budget(payload):
+        payload["retire"] = "memory"
+    return payload
 
 
 def _prepare_resume(store, token, config, checkpoint_cls):
@@ -220,246 +139,17 @@ def _hit_memory_budget(payload: Dict) -> bool:
     return result.get("stats", {}).get("budget_limit") == "memory"
 
 
-class WorkerPool:
-    """A fixed-size pool of warm, recycled verification workers."""
+class WorkerPool(pool.WorkerPool):
+    """The service's pool: warm, recycled workers running :func:`run_job`."""
 
     def __init__(
         self,
         size: Optional[int] = None,
         recycle_after: int = 64,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
-        if recycle_after < 1:
-            raise ValueError(f"recycle_after must be >= 1, got {recycle_after}")
-        self.size = size or _DEFAULT_SIZE
-        self.recycle_after = recycle_after
-        self.checkpoint_dir = checkpoint_dir
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._ctx = mp_context
-        self._job_q = self._ctx.Queue()
-        self._result_q = self._ctx.Queue()
-        self._lock = threading.Lock()
-        self._futures: Dict[int, Future] = {}
-        self._submitted_at: Dict[int, float] = {}
-        self._queue_wait: Dict[int, float] = {}
-        self._assigned: Dict[int, int] = {}  # job_id -> wid
-        self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-        # wid -> shared int64: the job the worker is holding right now
-        # (0 = idle).  Written by the worker before its START message can
-        # even flush, so a SIGKILL mid-pickup still tells us which job
-        # died with it.
-        self._slots: Dict[int, Any] = {}
-        self._job_ids = itertools.count(1)
-        self._wids = itertools.count(1)
-        #: Workers replaced so far (quota, memory recycle, or death).
-        self.recycles = 0
-        self.jobs_done = 0
-        self._closed = False
-        for _ in range(self.size):
-            self._spawn_worker()
-        self._collector = threading.Thread(
-            target=self._collect, name="service-pool-collector", daemon=True
+        super().__init__(
+            functools.partial(run_job, checkpoint_dir),
+            size or _DEFAULT_SIZE,
+            recycle_after=recycle_after,
         )
-        self._collector.start()
-
-    # ------------------------------------------------------------------
-    # Parent-side API
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        source: str,
-        config_dict: Optional[Dict],
-        ckpt_token: Optional[str] = None,
-    ) -> Tuple[int, Future, float]:
-        """Enqueue one job; returns ``(job_id, future, submitted_at)``.
-
-        The future resolves to the worker's payload dict:
-        ``{"result": ...}`` on a completed verification (any verdict),
-        ``{"input_error": ...}`` on bad input, or raises on worker death.
-        The payload also carries ``queue_wait_s`` once resolved.
-
-        ``ckpt_token`` (the job's cache-key token) enables durable
-        checkpoint/resume for this job when the pool has a
-        ``checkpoint_dir``.
-        """
-        if self._closed:
-            raise RuntimeError("WorkerPool is shut down")
-        fut: Future = Future()
-        submitted = time.time()
-        with self._lock:
-            job_id = next(self._job_ids)
-            self._futures[job_id] = fut
-            self._submitted_at[job_id] = submitted
-        self._job_q.put((job_id, source, config_dict, ckpt_token))
-        return job_id, fut, submitted
-
-    def alive(self) -> int:
-        """Workers currently alive (health/readiness probes)."""
-        return sum(1 for p in self._procs.values() if p.is_alive())
-
-    def pending(self) -> int:
-        """Jobs submitted but not yet resolved (queued + in flight)."""
-        with self._lock:
-            return len(self._futures)
-
-    def shutdown(self, grace_s: float = 2.0) -> None:
-        """Stop the pool: sentinel every worker, then escalate."""
-        self._closed = True
-        for _ in range(len(self._procs)):
-            try:
-                self._job_q.put_nowait(None)
-            except Exception:
-                break
-        deadline = time.monotonic() + grace_s
-        for proc in list(self._procs.values()):
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-        with self._lock:
-            futures = list(self._futures.values())
-            self._futures.clear()
-            self._submitted_at.clear()
-            self._queue_wait.clear()
-            self._assigned.clear()
-        for fut in futures:
-            if not fut.done():
-                fut.set_exception(RuntimeError("worker pool shut down"))
-        self._job_q.close()
-        self._job_q.cancel_join_thread()
-        self._result_q.close()
-        self._result_q.cancel_join_thread()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _spawn_worker(self) -> None:
-        wid = next(self._wids)
-        slot = self._ctx.Value("q", 0, lock=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                wid,
-                self._job_q,
-                self._result_q,
-                self.recycle_after,
-                self.checkpoint_dir,
-                slot,
-            ),
-            daemon=True,
-            name=f"service-worker-{wid}",
-        )
-        proc.start()
-        self._procs[wid] = proc
-        self._slots[wid] = slot
-
-    def _collect(self) -> None:
-        """Collector thread: resolve futures, recycle retired workers,
-        reap the dead."""
-        while not self._closed:
-            try:
-                message = self._result_q.get(timeout=0.2)
-            except (queue_mod.Empty, OSError, EOFError, ValueError):
-                # ValueError: shutdown() closed the queue under us.
-                self._reap_dead()
-                continue
-            self._handle_message(*message)
-        # Drain on shutdown: nothing to do, shutdown() fails leftovers.
-
-    def _handle_message(self, job_id, wid, kind, payload, wall_ts) -> None:
-        """Process one worker message (a job START or DONE)."""
-        if kind == _MSG_START:
-            # Wall-clock queue wait, measured across processes (same
-            # machine, same clock).
-            with self._lock:
-                self._assigned[job_id] = wid
-                submitted = self._submitted_at.pop(job_id, None)
-                if submitted is not None:
-                    self._queue_wait[job_id] = max(0.0, wall_ts - submitted)
-            return
-        with self._lock:
-            fut = self._futures.pop(job_id, None)
-            wait = self._queue_wait.pop(job_id, 0.0)
-            self._submitted_at.pop(job_id, None)
-            self._assigned.pop(job_id, None)
-        retire = payload.pop("retire", None) if payload else None
-        if fut is not None and not fut.done():
-            payload = payload or {}
-            payload["queue_wait_s"] = round(wait, 6)
-            self.jobs_done += 1
-            fut.set_result(payload)
-        if retire is not None:
-            self._retire(wid)
-
-    def _retire(self, wid: int) -> None:
-        """A worker announced retirement: join it, spawn a replacement."""
-        proc = self._procs.pop(wid, None)
-        self._slots.pop(wid, None)
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-        self.recycles += 1
-        if not self._closed:
-            self._spawn_worker()
-
-    def _reap_dead(self) -> None:
-        """Detect workers that died without retiring; fail their jobs."""
-        dead = [w for w, p in self._procs.items() if not p.is_alive()]
-        if not dead:
-            return
-        # A retiring worker exits right after queueing its DONE message,
-        # so "process dead" can be observed before the message is read.
-        # Drain everything already queued first: a completed job's real
-        # payload must win over (and its retirement replace) the
-        # died-mid-job diagnosis below.
-        while True:
-            try:
-                message = self._result_q.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError, ValueError):
-                break  # ValueError: shutdown() closed the queue under us
-            self._handle_message(*message)
-        for wid in dead:
-            proc = self._procs.pop(wid, None)
-            slot = self._slots.pop(wid, None)
-            if proc is None:
-                continue  # retired cleanly via its drained DONE message
-            proc.join(timeout=0.5)
-            with self._lock:
-                lost = [
-                    j for j, w in self._assigned.items() if w == wid
-                ]
-                # The worker may have died between consuming a job and
-                # flushing its START message (queue puts go through a
-                # feeder thread): the shared slot it wrote synchronously
-                # at pickup is the authoritative claim.
-                if slot is not None and slot.value and slot.value not in lost:
-                    lost.append(slot.value)
-                futures = []
-                for job_id in lost:
-                    fut = self._futures.pop(job_id, None)
-                    self._submitted_at.pop(job_id, None)
-                    self._queue_wait.pop(job_id, None)
-                    self._assigned.pop(job_id, None)
-                    if fut is not None:
-                        futures.append(fut)
-            for fut in futures:
-                if not fut.done():
-                    fut.set_result(
-                        {
-                            "error": "worker died mid-job "
-                            f"(exitcode {proc.exitcode})"
-                        }
-                    )
-            self.recycles += 1
-            if not self._closed:
-                self._spawn_worker()

@@ -113,26 +113,6 @@ def verify_one(
     return result
 
 
-def __getattr__(name: str):
-    # Legacy import path: ``from repro.verify.verifier import verify``.
-    # The supported spellings are ``repro.api.verify`` (the public facade,
-    # with portfolio dispatch and service routing) and ``repro.verify
-    # .verify`` (the in-process engine entry point, aliased to
-    # :func:`verify_one`).
-    if name == "verify":
-        import warnings
-
-        warnings.warn(
-            "importing verify from repro.verify.verifier is deprecated; "
-            "use repro.api.verify (public facade) or repro.verify.verify "
-            "(in-process engine)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return verify_one
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _verify_attempt(
     program: ast.Program,
     config: VerifierConfig,

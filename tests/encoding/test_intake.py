@@ -74,7 +74,8 @@ class TestBuilderFolding:
 
     def stored(self):
         assert not any(self.t in c or -self.t in c for c in self.calls)
-        return [c.lits for c in self.solver._clauses]
+        arena = self.solver.kernel.arena
+        return [arena.lits(c) for c in self.solver._clause_refs]
 
     def test_add_clause_drops_false_and_skips_true(self):
         self.b.add_clause([self.x, -self.t, self.y])

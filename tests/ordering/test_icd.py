@@ -151,7 +151,7 @@ class TestSearchSets:
         # Insert 3 -> 0: backward search from 3 reaches 1 via vars 6, 5.
         res = det.add_edge(mk_edge(3, 0, var=7))
         assert res.cycle is False
-        if 1 in res.parent_b:
+        if 1 in res.back_map():
             assert sorted(res.back_path_reason(1)) == [5, 6]
 
 

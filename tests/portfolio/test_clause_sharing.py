@@ -25,7 +25,10 @@ class TestSignatures:
         }
         assert len(sigs) == 1
 
-    def test_formula_shaping_knobs_split_groups(self):
+    def test_formula_shaping_knobs_split_groups(self, monkeypatch):
+        # The default prune level must be the documented 2, not whatever
+        # REPRO_PRUNE sets, for "prune_level=0 differs" to be testable.
+        monkeypatch.delenv("REPRO_PRUNE", raising=False)
         base = encoding_signature(VerifierConfig.zord())
         assert encoding_signature(VerifierConfig.zord_minus()) != base
         assert encoding_signature(VerifierConfig.cbmc()) != base

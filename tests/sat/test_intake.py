@@ -57,7 +57,7 @@ def test_add_clause_stores_first_unassigned_occurrences(seed):
         status, out = _expected(clause, fixed)
         ok = s.add_clause(list(clause))
         assert ok is (status != "empty"), (fixed, clause)
-        stored = [c.lits for c in s._clauses]
+        stored = [s.kernel.arena.lits(c) for c in s._clause_refs]
         if status == "kept" and len(out) >= 2:
             assert stored == [out], (fixed, clause)
         else:

@@ -102,45 +102,59 @@ def _php_clauses(s, n, m):
 
 
 class TestReduceDB:
+    """Learned-DB reduction, read at the arena level: clauses by stable
+    cid, watcher tags (``cref + 1``, negated for binary clauses) and
+    integer reason refs."""
+
     def _learned_solver(self):
         """A solver stopped mid-search with a sizeable learned DB."""
         s = Solver()
         _php_clauses(s, 8, 7)
         assert s.solve(max_conflicts=400) == SolveResult.UNKNOWN
-        assert len(s._learned) > 10
+        assert len(s._learned_refs) > 10
         return s
+
+    @staticmethod
+    def _learned_cids(s):
+        return {s.kernel.arena.cid(c) for c in s._learned_refs}
 
     def test_reduction_detaches_removed_clauses(self):
         s = self._learned_solver()
         s._backjump(0)
-        before = list(s._learned)
+        before = self._learned_cids(s)
         s._reduce_db()
-        removed = [c for c in before if c not in s._learned]
+        removed = before - self._learned_cids(s)
         assert removed  # something was actually dropped
-        for clause in removed:
-            for watch_list in s._watches:
-                assert clause not in watch_list
+        arena = s.kernel.arena
+        assert all(arena.cid2ref[cid] == -1 for cid in removed)
+        # Every watcher tag still resolves to a live clause.
+        live = set(s._clause_refs) | set(s._learned_refs)
+        for watch_list in s.kernel.watch:
+            for tag in watch_list[0::2]:
+                assert (tag - 1 if tag > 0 else -tag - 1) in live
 
     def test_reduction_keeps_kept_clauses_watched(self):
         s = self._learned_solver()
         s._backjump(0)
         s._reduce_db()
-        for clause in s._learned:
+        kernel = s.kernel
+        for cref in s._learned_refs:
+            lits = kernel.arena.lits(cref)
+            tag = -(cref + 1) if len(lits) == 2 else cref + 1
             # Both watched literals still index the clause exactly once.
-            for lit in clause.lits[:2]:
-                assert s._watches[s._widx(lit)].count(clause) == 1
+            for lit in lits[:2]:
+                assert kernel.watch[kernel.widx(lit)][0::2].count(tag) == 1
 
     def test_reduction_keeps_reason_and_binary_clauses(self):
         s = self._learned_solver()
-        learned_ids = {id(c) for c in s._learned}
+        arena = s.kernel.arena
+        learned = self._learned_cids(s)
         locked = {
-            id(s._reason[v])
-            for v in range(1, s.nvars + 1)
-            if s._reason[v] is not None
-        } & learned_ids
-        binary = {id(c) for c in s._learned if len(c.lits) == 2}
+            arena.cid(r) for r in s.kernel.reason[1 : s.nvars + 1] if r >= 0
+        } & learned
+        binary = {arena.cid(c) for c in s._learned_refs if arena.size(c) == 2}
         s._reduce_db()
-        kept = {id(c) for c in s._learned}
+        kept = self._learned_cids(s)
         assert locked <= kept
         assert binary <= kept
 

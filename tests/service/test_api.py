@@ -1,9 +1,9 @@
-"""The public facade (:mod:`repro.api`) and the deprecation shim.
+"""The public facade (:mod:`repro.api`) and the retired spelling.
 
 ``repro.api.verify`` is the one front door: plain calls solve in-process,
 ``portfolio=`` races presets, ``server=``/``REPRO_SERVER`` routes through
-a daemon.  The old ``repro.verify.verifier.verify`` spelling must keep
-working but warn.
+a daemon.  The old ``repro.verify.verifier.verify`` spelling is gone;
+nothing in the source tree may use it.
 """
 
 import warnings
@@ -62,22 +62,6 @@ class TestFacadeDispatch:
 
 
 class TestDeprecationShim:
-    def test_old_import_warns_and_works(self):
-        from repro.verify import verifier
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning, match="repro.api.verify"):
-                verifier.verify  # noqa: B018 - the access itself warns
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = verifier.verify
-        assert caught and caught[0].category is DeprecationWarning
-        assert legacy is verifier.verify_one
-        assert legacy(SAFE_PROGRAM, VerifierConfig(unwind=4)).verdict == (
-            Verdict.SAFE
-        )
-
     def test_unrelated_attribute_still_raises(self):
         from repro.verify import verifier
 
@@ -105,8 +89,6 @@ class TestDeprecationShim:
         )
         offenders = []
         for path in src.rglob("*.py"):
-            if path.name == "verifier.py":
-                continue  # the shim's own docstring mentions the spelling
             for match in pattern.finditer(path.read_text()):
                 names = {n.strip() for n in match.group(1).split(",")}
                 if "verify" in names:

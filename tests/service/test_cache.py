@@ -66,7 +66,10 @@ class TestCacheKey:
         for variant in (WHITESPACE_VARIANT, COMMENT_VARIANT, REORDER_VARIANT):
             assert cache_key(variant, config) == base
 
-    def test_formula_shaping_knobs_split_key(self):
+    def test_formula_shaping_knobs_split_key(self, monkeypatch):
+        # The default prune level must be the documented 2, not whatever
+        # REPRO_PRUNE sets, for "prune_level=0 differs" to be testable.
+        monkeypatch.delenv("REPRO_PRUNE", raising=False)
         config = VerifierConfig()
         base = cache_key(PROGRAM, config)
         for knob in (

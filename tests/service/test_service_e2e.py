@@ -311,6 +311,27 @@ class TestStdioShutdown:
             client.close()
 
 
+class TestRecyclingDaemon:
+    def test_recycled_workers_do_not_drain_the_daemon(self):
+        """Replacement workers are forked after the daemon installed its
+        asyncio signal handlers.  Retiring one (here after every job)
+        must neither be ignored as a no-op SIGTERM nor wake the daemon's
+        loop as if the daemon itself had been signalled to drain."""
+        client = ServiceClient.spawn(workers=1, recycle_after=1)
+        try:
+            for i in range(4):
+                source = SAFE_PROGRAM.replace("x == 1", f"x == 1 || x == {i + 2}")
+                assert client.verify(source).verdict == Verdict.SAFE
+            health = client.health()
+            assert not health["draining"]
+            assert health["status"] == "ok"
+            assert client.ready()
+            # The last retirement may still be in progress.
+            assert client.stats()["worker_recycles"] >= 3
+        finally:
+            client.close()
+
+
 @pytest.fixture(scope="module")
 def client():
     client = ServiceClient.spawn(workers=2)
