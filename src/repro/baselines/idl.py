@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.frontend.program import SymbolicProgram
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
+from repro.ordering.kernel import bounded_backward, path_reason
 from repro.ordering.solver import OrderingTheory, TheoryStats
 from repro.ordering.tarjan import TarjanCycleDetector
 from repro.sat.theory import Theory, TheoryResult
@@ -83,7 +84,7 @@ class IdlTheory(Theory):
             # Non-minimal conflict: the literals along whatever path
             # dst ⇝ src the fresh search found, plus the new edge.
             lits = set(edge.reason)
-            lits.update(added.back_path_reason(edge.dst))
+            lits.update(self._back_path_reason(edge.src, edge.dst))
             result.add_conflict([-l for l in sorted(lits)])
             self.stats.conflict_clauses += 1
             return result
@@ -96,6 +97,13 @@ class IdlTheory(Theory):
         while trail and trail[-1][1] > level:
             edge, _lvl = trail.pop()
             self.detector.remove_edge(edge)
+
+    def _back_path_reason(self, src: int, node: int) -> List[int]:
+        """Literals on the path ``node ⇝ src`` that a fresh backward DFS
+        from ``src`` finds (the detector's own search, repeated)."""
+        g = self.graph
+        nodes, pars = bounded_backward(g, src, 0, g.new_epoch())
+        return path_reason(g, node, dict(zip(nodes, pars)), True, {})
 
 
 def encode_program_idl(sym: SymbolicProgram, memory_model: str = "sc"):

@@ -15,12 +15,17 @@ those invariants into hard checks:
   the event graph's active adjacency (out and in), the
   ``_out_rf``/``_out_ws`` partner indices and the inactive-edge index all
   describe the same set of edges, in activation order, across arbitrary
-  backjumps;
+  backjumps; a fresh unit-edge candidate index lists every live edge that
+  points backward in the ICD order, with current labels;
 * **conflict clauses** (:func:`check_conflict_clause`): every theory
   conflict clause handed to the SAT core is actually falsified by the
   current assignment;
 * **propagation reasons** (:func:`check_propagation_reason`): a reason
   clause contains its propagated literal and no other non-false literal;
+* **unit-edge reasons** (:func:`check_unit_edge_reason`): the reason of a
+  unit-edge propagation names active edges that, with the unit edge,
+  close a real cycle through the inserted edge -- every from-read edge on
+  it justified by its Axiom 2 premises inside the reason;
 * **unsat cores** (checked inside :class:`repro.sat.solver.Solver`):
   every reported core re-solves UNSAT in isolation.
 
@@ -46,6 +51,7 @@ __all__ = [
     "check_theory_sync",
     "check_conflict_clause",
     "check_propagation_reason",
+    "check_unit_edge_reason",
     "enable_audit",
 ]
 
@@ -199,6 +205,46 @@ def check_theory_sync(theory) -> None:
                 f"index: var {var}, {e!r}"
             )
 
+    _check_unit_candidates(theory)
+
+
+def _check_unit_candidates(theory) -> None:
+    """A non-stale unit-edge candidate index agrees with the labels (ICD):
+    ``_back`` is exactly the registered edges pointing backward, sorted by
+    ``ord[dst]``, and ``_cands`` holds every live one, keyed by its
+    current ``ord[dst]``."""
+    if not getattr(theory, "_ordered", False) or theory._back_stale:
+        return
+    ord_ = theory.graph.ord
+    want = {
+        var
+        for var, e in theory._edge_of_var.items()
+        if ord_[e.src] > ord_[e.dst]
+    }
+    got = [e.var for e in theory._back]
+    if len(got) != len(set(got)) or set(got) != want:
+        raise AuditError(
+            f"unit-edge candidate index lists {sorted(got)}, but the edges "
+            f"pointing backward in ord are {sorted(want)}"
+        )
+    keys = [ord_[e.dst] for e in theory._back]
+    if keys != sorted(keys):
+        raise AuditError(f"unit-edge candidate index is out of order: {keys}")
+    if theory._cand_stale:
+        return
+    if theory._cand_keys != [ord_[e.dst] for e in theory._cands]:
+        raise AuditError(
+            f"unit-edge candidate keys {theory._cand_keys} are stale"
+        )
+    listed = {e.var for e in theory._cands}
+    assign = theory._assign
+    missing = sorted(var for var in want if assign[var] != -1 and var not in listed)
+    if missing:
+        raise AuditError(
+            f"live backward edges missing from the unit-edge candidates: "
+            f"vars {missing}"
+        )
+
 
 # ----------------------------------------------------------------------
 # SAT-side checks (called by the solver with its own value function)
@@ -240,4 +286,75 @@ def check_propagation_reason(
             raise AuditError(
                 f"propagation reason {list(reason)} for literal {lit} has "
                 f"non-false literal {other} ({state})"
+            )
+
+
+# ----------------------------------------------------------------------
+# Unit-edge propagation reasons (called by the theory solver)
+# ----------------------------------------------------------------------
+
+
+def check_unit_edge_reason(theory, new_edge, unit, reason: Sequence[int]) -> None:
+    """The reason clause of the unit edge ``unit = (f, b)``, propagated
+    after inserting ``new_edge = (u, v)``, is a real cycle.
+
+    The reason (less ``-unit.var``) must name only active ordering edges.
+    Those edges, the program order and every from-read edge whose Axiom 2
+    premises (an RF and a WS edge out of one write) both lie in the reason
+    must hold paths ``b ⇝ u`` and ``v ⇝ f``; ``new_edge``'s own derivation
+    must be in the reason.  With ``(u, v)`` and ``(f, b)`` they close the
+    cycle that makes ``unit`` false.
+    """
+    if -unit.var not in reason:
+        raise AuditError(
+            f"unit-edge reason {list(reason)} lacks its literal {-unit.var}"
+        )
+    lits = {-lit for lit in reason if lit != -unit.var}
+    edges = []
+    for var in sorted(lits):
+        edge = theory._edge_of_var.get(var)
+        if edge is None or not edge.active:
+            state = "unregistered" if edge is None else "inactive"
+            raise AuditError(
+                f"unit-edge reason {list(reason)} for {unit!r} names "
+                f"{state} ordering variable {var}"
+            )
+        edges.append(edge)
+    missing = set(new_edge.reason) - lits
+    if missing:
+        raise AuditError(
+            f"unit-edge reason {list(reason)} for {unit!r} omits the "
+            f"inserted edge {new_edge!r} (variables {sorted(missing)})"
+        )
+    succ = {}
+    for a, b in theory._po_edges:
+        succ.setdefault(a, []).append(b)
+    for e in edges:
+        succ.setdefault(e.src, []).append(e.dst)
+    # Axiom 2: w ≺rf r and w ≺ws w' give r ≺fr w'.
+    for rf in edges:
+        if rf.kind != "rf":
+            continue
+        for ws in edges:
+            if ws.kind == "ws" and ws.src == rf.src and ws.dst != rf.dst:
+                succ.setdefault(rf.dst, []).append(ws.dst)
+
+    def reaches(x, y):
+        seen, stack = {x}, [x]
+        while stack:
+            z = stack.pop()
+            if z == y:
+                return True
+            for w in succ.get(z, ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    for x, y in ((unit.dst, new_edge.src), (new_edge.dst, unit.src)):
+        if not reaches(x, y):
+            raise AuditError(
+                f"unit-edge reason {list(reason)} for {unit!r} after "
+                f"inserting {new_edge!r} has no justified path {x} ⇝ {y}: "
+                f"the edges do not close a cycle"
             )

@@ -14,106 +14,49 @@ the active edges.  Inserting an edge ``(u, v)``:
   reordering; the paper follows Bender et al.'s two-way search with
   pseudo-topological orders -- operationally the same discipline).
 
-The search sets ``B`` and ``F`` (with parent pointers for path
-reconstruction) are returned to the caller: unit-edge propagation
-(Section 5.4) enumerates ``F x B`` pairs against the inactive-edge index.
+Unit-edge propagation (Section 5.4) does not read these search sets: it
+runs its own search after the insertion, pruned by the same order labels
+(``OrderingTheory._propagate_unit_edges``).
 
 On a detected cycle the graph is left *unchanged* (the offending edge is
 not activated), so the acyclicity invariant always holds between calls.
 
 Since the packed-kernel rewrite (``docs/SATCORE.md``) the searches run in
 :mod:`repro.ordering.kernel` over the graph's parallel int arrays:
-epoch-stamped visited/parent scratch instead of per-insertion dicts, int
-adjacency instead of ``Edge``-object chasing, and derivation reasons read
-from a flat literal pool.  :class:`AddResult` is a thin view over those
-search trees -- it captures parent *packed edge ids* as parallel lists
-(plain ints, immune to later epoch reuse) and builds ``node -> parent``
-maps only on demand.
+epoch-stamped visited scratch instead of per-insertion sets and int
+adjacency instead of ``Edge``-object chasing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.ordering.event_graph import Edge, EventGraph
-from repro.ordering.kernel import bounded_backward, bounded_forward, path_reason
+from repro.ordering.kernel import bounded_backward, bounded_forward
 
-__all__ = ["AddResult", "IncrementalCycleDetector"]
+__all__ = ["ACCEPTED", "AddResult", "CYCLE", "FAST_PATH", "IncrementalCycleDetector"]
 
 
 class AddResult:
-    """Outcome of an edge insertion attempt.
+    """Outcome of an edge insertion attempt (the shared constants below).
 
     Attributes:
         cycle: True if the insertion would close a cycle (edge rejected).
-        back_nodes: nodes reached by the backward search (includes ``src``).
-        fwd_nodes: nodes reached by the forward search (includes ``dst``).
-        fast_path: the insertion was accepted on the ``ord[u] < ord[v]``
-            fast path, i.e. without running the two-way search.  The B/F
-            sets are then the trivial ``{u}`` / ``{v}``, so unit-edge
-            propagation only ever sees the single pair ``(v, u)`` --
-            intentional per the two-way-search design (the search sets
-            *are* the propagation frontier), but worth counting: see the
-            ``icd_fast_path`` theory stat.
+        fast_path: ICD accepted the edge on the ``ord[u] < ord[v]`` fast
+            path, without searching (counted by the ``icd_fast_path``
+            theory stat).
     """
 
-    __slots__ = (
-        "cycle",
-        "back_nodes",
-        "fwd_nodes",
-        "fast_path",
-        "_graph",
-        "_back_par",
-        "_fwd_par",
-        "_bmap",
-        "_fmap",
-    )
+    __slots__ = ("cycle", "fast_path")
 
-    def __init__(
-        self,
-        cycle: bool,
-        back_nodes: List[int],
-        fwd_nodes: List[int],
-        graph: EventGraph,
-        back_par: List[int],
-        fwd_par: List[int],
-        fast_path: bool = False,
-    ) -> None:
+    def __init__(self, cycle: bool, fast_path: bool = False) -> None:
         self.cycle = cycle
-        self.back_nodes = back_nodes
-        self.fwd_nodes = fwd_nodes
         self.fast_path = fast_path
-        self._graph = graph
-        self._back_par = back_par
-        self._fwd_par = fwd_par
-        self._bmap: Optional[Dict[int, int]] = None
-        self._fmap: Optional[Dict[int, int]] = None
 
-    def back_map(self) -> Dict[int, int]:
-        """Backward tree as ``node -> parent packed edge id`` (-1 at the
-        root ``src``); built once, cached."""
-        m = self._bmap
-        if m is None:
-            m = dict(zip(self.back_nodes, self._back_par))
-            self._bmap = m
-        return m
 
-    def fwd_map(self) -> Dict[int, int]:
-        """Forward tree as ``node -> parent packed edge id`` (-1 at the
-        root ``dst``); built once, cached."""
-        m = self._fmap
-        if m is None:
-            m = dict(zip(self.fwd_nodes, self._fwd_par))
-            self._fmap = m
-        return m
-
-    def back_path_reason(self, node: int) -> List[int]:
-        """Ordering literals along the path ``node ⇝ src``."""
-        return path_reason(self._graph, node, self.back_map(), backward=True)
-
-    def fwd_path_reason(self, node: int) -> List[int]:
-        """Ordering literals along the path ``dst ⇝ node``."""
-        return path_reason(self._graph, node, self.fwd_map(), backward=False)
+CYCLE = AddResult(True)
+ACCEPTED = AddResult(False)
+FAST_PATH = AddResult(False, fast_path=True)
 
 
 class IncrementalCycleDetector:
@@ -143,27 +86,27 @@ class IncrementalCycleDetector:
         ord_ = g.ord
         if ord_[u] < ord_[v]:
             g.activate(edge)
-            return AddResult(False, [u], [v], g, [-1], [-1], fast_path=True)
+            return FAST_PATH
 
         # Two-way bounded search over the packed adjacency (see
         # repro.ordering.kernel): backward from u within ord >= ord[v],
         # then forward from v within ord <= ord[u].
         epoch = g.new_epoch()
-        back_nodes, back_par = bounded_backward(g, u, ord_[v], epoch)
+        back_nodes, _ = bounded_backward(g, u, ord_[v], epoch)
         if g.vis_b[v] == epoch:
-            return AddResult(True, back_nodes, [v], g, back_par, [-1])
+            return CYCLE
 
-        fwd_nodes, fwd_par, hit = bounded_forward(g, v, ord_[u], epoch)
+        fwd_nodes, _, hit = bounded_forward(g, v, ord_[u], epoch)
         if hit:
             # Path v ⇝ y ⇝ u: cycle (defensive; the backward phase finds
             # any such cycle first).
-            return AddResult(True, back_nodes, fwd_nodes, g, back_par, fwd_par)
+            return CYCLE
 
         self._reorder(back_nodes, fwd_nodes)
         if self.audit:
             self._audit_window(edge, back_nodes, fwd_nodes)
         g.activate(edge)
-        return AddResult(False, back_nodes, fwd_nodes, g, back_par, fwd_par)
+        return ACCEPTED
 
     def remove_edge(self, edge: Edge) -> None:
         """Deactivate an edge; the pseudo-topological order stays valid."""

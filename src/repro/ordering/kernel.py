@@ -36,9 +36,9 @@ not assumed (numbers in ``docs/SATCORE.md``):
   does not change either way.
 
 Also the home of :func:`path_reason`, which re-assembles derivation-reason
-clauses by walking a parent map over the packed pool -- used by the
-``AddResult`` view in :mod:`repro.ordering.icd` and by unit-edge
-propagation in :mod:`repro.ordering.solver`.
+clauses by walking a parent map over the packed pool -- used by unit-edge
+propagation in :mod:`repro.ordering.solver` and by the IDL baseline's
+conflict clauses.
 """
 
 from __future__ import annotations
@@ -112,23 +112,40 @@ def bounded_forward(
     return nodes, pars, False
 
 
-def path_reason(g, node: int, pmap: Dict[int, int], backward: bool) -> List[int]:
-    """Union of derivation reasons along a search-tree path.
+def path_reason(
+    g, node: int, pmap: Dict[int, int], backward: bool, memo: Dict[int, List[int]]
+) -> List[int]:
+    """Derivation-reason literals along a search-tree path.
 
-    Walks parent edge ids from ``node`` to the search root through
+    Walks parent edge ids from ``node`` towards the search root through
     ``pmap`` (node -> parent eid, -1/absent at the root), collecting each
     edge's reason literals from the flat pool.  ``backward=True`` follows
     ``e_dst`` (backward-search tree, paths run node -> ... -> u);
     ``backward=False`` follows ``e_src`` (forward tree).
+
+    ``memo`` maps tree nodes to their path's literals and is filled for
+    every node walked, so calls on one tree share their common prefixes.
+    The returned lists are shared (a reason-free edge such as PO reuses
+    its parent's list): callers must not mutate them.
     """
     rstart = g.rstart
     rlen = g.rlen
     rpool = g.rpool
     step = g.e_dst if backward else g.e_src
-    lits: List[int] = []
-    eid = pmap.get(node, -1)
-    while eid >= 0:
-        start = rstart[eid]
-        lits.extend(rpool[start : start + rlen[eid]])
-        eid = pmap.get(step[eid], -1)
+    chain = []
+    lits = memo.get(node)
+    while lits is None:
+        eid = pmap.get(node, -1)
+        if eid < 0:
+            lits = memo[node] = []
+            break
+        chain.append((node, eid))
+        node = step[eid]
+        lits = memo.get(node)
+    for node, eid in reversed(chain):
+        n = rlen[eid]
+        if n:
+            start = rstart[eid]
+            lits = lits + rpool[start : start + n]
+        memo[node] = lits
     return lits

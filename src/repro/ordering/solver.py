@@ -9,10 +9,14 @@ Figure 4:
   Tarjan-style baseline) checks acyclicity incrementally;
 * **conflict clause generation** -- on a cycle, all shortest-width critical
   cycle reasons through the new edge are returned as conflict clauses;
-* **unit-edge propagation** -- after a successful insertion, inactive edges
-  from the forward-search set to the backward-search set would close a
-  cycle, so their ordering variables are propagated false with the path's
-  derivation reason;
+* **unit-edge propagation** -- after a successful insertion of ``(u, v)``,
+  every live inactive edge ``(f, b)`` with ``v ⇝ f`` and ``b ⇝ u`` would
+  close a cycle, so its ordering variable is propagated false with the
+  path's derivation reason.  The search is the theory's own, independent
+  of the detector: under ICD the pseudo-topological order first narrows
+  the candidates to edges straddling the insertion window and then bounds
+  both DFSs; the Tarjan baseline keeps no order and searches unbounded
+  (see :meth:`OrderingTheory._propagate_unit_edges`);
 * **from-read propagation** -- activating ``w ≺rf r`` derives ``r ≺fr w'``
   for every active ``w ≺ws w'`` (and symmetrically for WS activations),
   inserting derived FR edges on the fly (Axiom 2); with
@@ -25,14 +29,18 @@ SAT solver's decision levels through :meth:`backjump`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, Sequence, Tuple
 
 from repro.robustness import checkpoint as _robustness_checkpoint
 from repro.sat.theory import Theory, TheoryResult
 from repro.ordering.conflict import generate_conflicts
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
-from repro.ordering.icd import AddResult, IncrementalCycleDetector
+from repro.ordering.icd import IncrementalCycleDetector
+from repro.ordering.kernel import bounded_backward, bounded_forward, path_reason
 from repro.ordering.tarjan import TarjanCycleDetector
 
 __all__ = ["OrderingTheory", "TheoryStats"]
@@ -45,13 +53,15 @@ class TheoryStats:
     consistency_checks: int = 0
     cycles: int = 0
     conflict_clauses: int = 0
+    #: Unit-edge propagations offered to the SAT core: one per live
+    #: inactive edge that would close a cycle (dead ones are skipped).
     unit_propagations: int = 0
     fr_derived: int = 0
     edges_activated: int = 0
     icd_reorders: int = 0
-    #: Insertions accepted on the ICD ``ord[u] < ord[v]`` fast path.  The
-    #: two-way search is skipped there, so unit-edge propagation sees only
-    #: the trivial B/F sets ``{u}``/``{v}`` (see ``AddResult.fast_path``).
+    #: Insertions ICD accepted on the ``ord[u] < ord[v]`` fast path,
+    #: without its two-way search (unit-edge propagation is the same
+    #: either way).
     icd_fast_path: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -105,6 +115,21 @@ class OrderingTheory(Theory):
         if hasattr(self.detector, "on_reorder"):
             self.detector.on_reorder = self._note_reorder
         self._edge_of_var: Dict[int, Edge] = {}
+        #: The owning solver's assignment array (see :meth:`attach`); until
+        #: a solver attaches, every variable reads unassigned.  A
+        #: variable-controlled edge is *live* while its variable is not
+        #: false: only live edges are worth propagating.
+        self._assign = defaultdict(int)
+        #: Unit-edge candidates under ICD (see :meth:`_refresh_candidates`):
+        #: ``_back`` holds the registered edges pointing backward in
+        #: ``ord``, sorted by ``ord[dst]``; ``_cands`` its live part, keyed
+        #: for bisection by ``_cand_keys`` (their ``ord[dst]``).
+        self._ordered = isinstance(self.detector, IncrementalCycleDetector)
+        self._back: List[Edge] = []
+        self._back_stale = True
+        self._cands: List[Edge] = []
+        self._cand_keys: List[int] = []
+        self._cand_stale = True
         #: Memoized FR edges keyed by (read, write, reason): re-deriving
         #: the same from-read fact after a backtrack reuses the Edge
         #: object, so the graph's packed edge store (which interns every
@@ -136,6 +161,7 @@ class OrderingTheory(Theory):
     def _note_reorder(self, n_back: int, n_fwd: int) -> None:
         """Detector callback: one pseudo-topological reordering happened."""
         self.stats.icd_reorders += 1
+        self._back_stale = self._cand_stale = True
         if self.telemetry is not None:
             self.telemetry.emit("icd_reorder", back=n_back, fwd=n_fwd)
 
@@ -194,6 +220,7 @@ class OrderingTheory(Theory):
             raise ValueError(f"variable {var} already registered")
         self._edge_of_var[var] = edge
         self.graph.register_inactive(edge)
+        self._back_stale = self._cand_stale = True
 
     def initial_unit_clauses(self) -> List[List[int]]:
         """Level-0 unit-edge propagation against the PO skeleton.
@@ -212,6 +239,9 @@ class OrderingTheory(Theory):
     # Theory interface
     # ------------------------------------------------------------------
 
+    def attach(self, assign: List[int]) -> None:
+        self._assign = assign
+
     def relevant(self, var: int) -> bool:
         return var in self._edge_of_var
 
@@ -229,6 +259,7 @@ class OrderingTheory(Theory):
         return result
 
     def backjump(self, level: int) -> None:
+        self._cand_stale = True
         trail = self._trail
         while trail and trail[-1][1] > level:
             edge, _lvl = trail.pop()
@@ -278,7 +309,7 @@ class OrderingTheory(Theory):
         elif edge.kind == EdgeKind.WS:
             self._out_ws[edge.src].append(edge)
         if self.unit_edge:
-            self._unit_edge_scan(edge, added, result)
+            self._propagate_unit_edges(edge, result)
         if self.fr_propagation:
             if not self._derive_from_read(edge, level, result):
                 return False
@@ -288,48 +319,122 @@ class OrderingTheory(Theory):
     # Theory propagation (Section 5.4)
     # ------------------------------------------------------------------
 
-    def _unit_edge_scan(
-        self, new_edge: Edge, added: AddResult, result: TheoryResult
-    ) -> None:
-        """Force to false the variables of inactive edges that would close a
-        cycle through the newly inserted edge."""
-        inactive_out = self.graph.inactive_out
+    def _propagate_unit_edges(self, new_edge: Edge, result: TheoryResult) -> None:
+        """Force false every live inactive edge ``(f, b)`` that would close a
+        cycle through the just-inserted ``new_edge = (u, v)``: exactly those
+        with ``v ⇝ f`` and ``b ⇝ u``.
+
+        Under ICD ``ord`` is topological for the active edges (``new_edge``
+        included), so a unit edge has ``ord[b] <= ord[u] < ord[v] <= ord[f]``.
+        The candidate index yields the live edges that satisfy this; with
+        none there is no search.  Otherwise the forward DFS from ``v`` is
+        bounded above by the candidates' largest ``ord[f]`` and the
+        backward DFS from ``u`` below by the smallest ``ord[b]`` of those
+        it reached.  A node outside a bound only reaches nodes outside it,
+        so the pruning changes neither the discovery order nor the DFS
+        parent of any node inside: propagations, their order and their
+        reasons are the ones an unbounded search gives.  That is what the
+        Tarjan detector (no ``ord``) runs, walking the inactive index of
+        every node it reaches.
+        """
+        g = self.graph
+        u = new_edge.src
+        v = new_edge.dst
+        assign = self._assign
+        inactive_out = g.inactive_out
+        if self._ordered:
+            if self._cand_stale:
+                self._refresh_candidates()
+            ord_ = g.ord
+            f_min = ord_[v]
+            f_max = -1
+            sel = []
+            for e in islice(self._cands, bisect_right(self._cand_keys, ord_[u])):
+                fo = ord_[e.src]
+                if fo >= f_min and assign[e.var] != -1:
+                    sel.append(e)
+                    if fo > f_max:
+                        f_max = fo
+            if not sel:
+                return
+            epoch = g.new_epoch()
+            fwd_nodes, fwd_par, _ = bounded_forward(g, v, f_max, epoch)
+            vis_f = g.vis_f
+            sel = [e for e in sel if vis_f[e.src] == epoch]
+            if not sel:
+                return
+            # sel keeps the index's ord[b] order: sel[0] has the least.
+            back_nodes, back_par = bounded_backward(g, u, ord_[sel[0].dst], epoch)
+            vis_b = g.vis_b
+            hit = {(e.src, e.dst) for e in sel if vis_b[e.dst] == epoch}
+            # Offer order: f by forward discovery, then b by inactive index.
+            pairs = [
+                (f, b)
+                for f in sorted({f for f, _ in hit}, key=fwd_nodes.index)
+                for b in inactive_out[f]
+                if (f, b) in hit
+            ]
+        else:
+            epoch = g.new_epoch()
+            fwd_nodes, fwd_par, _ = bounded_forward(g, v, g.n, epoch)
+            back_nodes, back_par = bounded_backward(g, u, 0, epoch)
+            vis_b = g.vis_b
+            pairs = [
+                (f, b)
+                for f in fwd_nodes
+                for b, edges in inactive_out[f].items()
+                if edges and vis_b[b] == epoch
+            ]
         new_reason = list(new_edge.reason)
-        if added.fast_path:
-            # Trivial B/F = {src}/{dst}: the only candidate pair is
-            # (dst, src) with empty search paths -- skip map building.
-            edges = inactive_out[new_edge.dst].get(new_edge.src)
-            if edges:
-                path_set = sorted(set(new_reason))
-                for unit in edges:
-                    if unit.var is None or unit is new_edge:
-                        continue
-                    reason_clause = [-unit.var] + [-l for l in path_set]
-                    result.add_propagation(-unit.var, reason_clause)
-                    self.stats.unit_propagations += 1
-            return
-        back = added.back_map()  # membership: nodes reaching new_edge.src
-        for f in added.fwd_nodes:
-            buckets = inactive_out[f]
-            if not buckets:
+        props = result.propagations
+        bmap = fmap = None
+        bmemo: Dict[int, List[int]] = {}
+        fmemo: Dict[int, List[int]] = {}
+        for f, b in pairs:
+            live = [e.var for e in inactive_out[f][b] if assign[e.var] != -1]
+            if not live:
                 continue
-            for b_node, edges in buckets.items():
-                if b_node not in back or not edges:
-                    continue
-                # Path: b_node ⇝ src --new--> dst ⇝ f, then (f, b_node)
-                # would close the cycle.
-                path_lits = (
-                    added.back_path_reason(b_node)
-                    + new_reason
-                    + added.fwd_path_reason(f)
-                )
-                path_set = sorted(set(path_lits))
-                for unit in edges:
-                    if unit.var is None or unit is new_edge:
-                        continue
-                    reason_clause = [-unit.var] + [-l for l in path_set]
-                    result.add_propagation(-unit.var, reason_clause)
-                    self.stats.unit_propagations += 1
+            if bmap is None:
+                bmap = dict(zip(back_nodes, back_par))
+                fmap = dict(zip(fwd_nodes, fwd_par))
+            # Path b ⇝ u --new--> v ⇝ f, closed by (f, b).
+            path_lits = (
+                path_reason(g, b, bmap, True, bmemo)
+                + new_reason
+                + path_reason(g, f, fmap, False, fmemo)
+            )
+            negated = sorted({-l for l in path_lits}, reverse=True)
+            for var in live:
+                reason_clause = [-var] + negated
+                if self.audit:
+                    from repro.oracle.audit import check_unit_edge_reason
+
+                    check_unit_edge_reason(
+                        self, new_edge, self._edge_of_var[var], reason_clause
+                    )
+                props.append((-var, reason_clause))
+            self.stats.unit_propagations += len(live)
+
+    def _refresh_candidates(self) -> None:
+        """Rebuild the candidate index for unit-edge propagation under ICD.
+
+        Only registered edges pointing backward in ``ord`` can become unit
+        (active edges all point forward).  Labels move only in a reorder,
+        so ``_back`` is rebuilt after a reorder or a registration.  The
+        live part ``_cands`` is refiltered after those and after every
+        backjump: in between, assignments only grow, so it stays a
+        superset of the live backward edges.
+        """
+        ord_ = self.graph.ord
+        if self._back_stale:
+            back = [e for e in self._edge_of_var.values() if ord_[e.src] > ord_[e.dst]]
+            back.sort(key=lambda e: ord_[e.dst])
+            self._back = back
+            self._back_stale = False
+        assign = self._assign
+        self._cands = [e for e in self._back if assign[e.var] != -1]
+        self._cand_keys = [ord_[e.dst] for e in self._cands]
+        self._cand_stale = False
 
     def _derive_from_read(
         self, edge: Edge, level: int, result: TheoryResult

@@ -3,25 +3,25 @@
 The paper compares its incremental detector against running Tarjan-style
 non-incremental cycle detection afresh on every edge insertion.  This
 detector performs a full (unbounded) backward search from the edge source
-and, if acyclic, a full forward search from the target -- O(n + m) per
-insertion, with no order labels maintained or reused.
+and reports a cycle if it reaches the target -- O(n + m) per insertion,
+with no order labels maintained or reused.
 
 It exposes the same interface as
 :class:`repro.ordering.icd.IncrementalCycleDetector`, so the theory solver
-can swap detectors via configuration; the search sets it returns feed
-unit-edge propagation exactly as with ICD.
+can swap detectors via configuration.  Unit-edge propagation is the
+theory's own and identical under both detectors, so the two differ only
+in detection cost (Fig. 10).
 
-The searches share the packed kernel (:mod:`repro.ordering.kernel`) with
-ICD, run with slack bounds: ``lb=0`` / ``ub=n`` never prune (order labels
-are a permutation of ``range(n)``), which makes the bounded DFS an
-unbounded one.
+The search shares the packed kernel (:mod:`repro.ordering.kernel`) with
+ICD, run with a slack bound: ``lb=0`` never prunes (order labels are a
+permutation of ``range(n)``), which makes the bounded DFS an unbounded one.
 """
 
 from __future__ import annotations
 
 from repro.ordering.event_graph import Edge, EventGraph
-from repro.ordering.icd import AddResult
-from repro.ordering.kernel import bounded_backward, bounded_forward
+from repro.ordering.icd import ACCEPTED, CYCLE, AddResult
+from repro.ordering.kernel import bounded_backward
 
 __all__ = ["TarjanCycleDetector"]
 
@@ -43,19 +43,11 @@ class TarjanCycleDetector:
 
         epoch = g.new_epoch()
         # Full backward search from u: all ancestors (lb=0 never prunes).
-        back_nodes, back_par = bounded_backward(g, u, 0, epoch)
+        bounded_backward(g, u, 0, epoch)
         if g.vis_b[v] == epoch:
-            return AddResult(True, back_nodes, [v], g, back_par, [-1])
-
-        # Full forward search from v: all descendants (ub=n never prunes).
-        # The B-hit branch cannot fire here: any forward path into B would
-        # imply v ⇝ u, which the unbounded backward pass just excluded.
-        fwd_nodes, fwd_par, hit = bounded_forward(g, v, g.n, epoch)
-        if hit:  # pragma: no cover - unreachable with unbounded backward
-            return AddResult(True, back_nodes, fwd_nodes, g, back_par, fwd_par)
-
+            return CYCLE
         g.activate(edge)
-        return AddResult(False, back_nodes, fwd_nodes, g, back_par, fwd_par)
+        return ACCEPTED
 
     def remove_edge(self, edge: Edge) -> None:
         self.graph.deactivate(edge)

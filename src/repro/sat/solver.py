@@ -150,6 +150,7 @@ class Solver:
         self.theory: Theory = theory if theory is not None else Theory()
         #: The flat-array Boolean engine (arena, watches, trail, heap).
         self.kernel = BoolKernel()
+        self.theory.attach(self.kernel.assign)
         self.nvars = 0
         # Hot kernel state aliased onto the solver: the kernel mutates
         # these lists in place and never rebinds them.

@@ -56,6 +56,14 @@ class Theory:
     relevant, every assignment is consistent.
     """
 
+    def attach(self, assign: List[int]) -> None:
+        """Called once by the owning solver with its live assignment array.
+
+        ``assign[var]`` is 1 (true), -1 (false) or 0 (unassigned); the
+        solver mutates the list in place and never rebinds it, so a theory
+        may keep the reference and read the current assignment from it.
+        """
+
     def relevant(self, var: int) -> bool:
         """Return True if assignments to ``var`` must be reported."""
         return False

@@ -10,6 +10,7 @@ from repro.oracle.audit import (
     check_icd_labels,
     check_propagation_reason,
     check_theory_sync,
+    check_unit_edge_reason,
     enable_audit,
 )
 from repro.ordering import OrderingTheory
@@ -127,6 +128,79 @@ class TestTheorySync:
         edge = theory._trail[-1][0]
         # Deactivate behind the theory's back: trail and graph now disagree.
         theory.graph.deactivate(edge)
+        with pytest.raises(AuditError):
+            check_theory_sync(theory)
+
+
+class TestUnitEdgeReasons:
+    """``check_unit_edge_reason`` accepts real cycles and rejects reasons
+    that name inactive edges, miss a path or drop an FR premise."""
+
+    def _chain(self):
+        # RF 0 -> 1, WS 1 -> 2 active; inactive WS 2 -> 0 closes the cycle.
+        solver, theory = make_theory(3, [])
+        a = solver.new_var(relevant=True)
+        theory.add_rf_var(a, 0, 1)
+        b = solver.new_var(relevant=True)
+        theory.add_ws_var(b, 1, 2)
+        c = solver.new_var(relevant=True)
+        theory.add_ws_var(c, 2, 0)
+        theory.assign(a, 1)
+        res = theory.assign(b, 2)
+        assert res.propagations == [(-c, [-c, -a, -b])]
+        return theory, a, b, c
+
+    def test_real_cycle_passes(self):
+        theory, a, b, c = self._chain()
+        new = theory._edge_of_var[b]
+        check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -a, -b])
+
+    def test_missing_path_literal_caught(self):
+        theory, a, b, c = self._chain()
+        new = theory._edge_of_var[b]
+        with pytest.raises(AuditError, match="no justified path"):
+            check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -b])
+
+    def test_inserted_edge_required(self):
+        theory, a, b, c = self._chain()
+        new = theory._edge_of_var[b]
+        with pytest.raises(AuditError, match="omits the inserted edge"):
+            check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -a])
+
+    def test_inactive_reason_edge_caught(self):
+        theory, a, b, c = self._chain()
+        theory.backjump(1)  # b's edge is gone
+        new = theory._edge_of_var[a]
+        with pytest.raises(AuditError, match="inactive"):
+            check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -a, -b])
+
+    def test_fr_premise_required(self):
+        # RF 0 -> 1 and WS 0 -> 2 derive FR 1 -> 2.  Inserting WS 2 -> 3
+        # makes the inactive RF 3 -> 1 close 1 -fr-> 2 -> 3 -> 1, a cycle
+        # whose FR edge holds only with both of its premises.
+        solver, theory = make_theory(4, [])
+        rf = solver.new_var(relevant=True)
+        theory.add_rf_var(rf, 0, 1)
+        ws = solver.new_var(relevant=True)
+        theory.add_ws_var(ws, 0, 2)
+        n = solver.new_var(relevant=True)
+        theory.add_ws_var(n, 2, 3)
+        x = solver.new_var(relevant=True)
+        theory.add_rf_var(x, 3, 1)
+        assert not theory.assign(rf, 1).propagations
+        assert not theory.assign(ws, 2).propagations
+        res = theory.assign(n, 3)
+        assert res.propagations == [(-x, [-x, -rf, -ws, -n])]
+        new, unit = theory._edge_of_var[n], theory._edge_of_var[x]
+        check_unit_edge_reason(theory, new, unit, [-x, -rf, -ws, -n])
+        with pytest.raises(AuditError, match="no justified path"):
+            check_unit_edge_reason(theory, new, unit, [-x, -rf, -n])
+
+    def test_stale_candidate_index_caught(self):
+        theory, a, b, c = self._chain()
+        theory._refresh_candidates()
+        check_theory_sync(theory)
+        theory.graph.ord.reverse()  # labels moved behind the index's back
         with pytest.raises(AuditError):
             check_theory_sync(theory)
 

@@ -102,19 +102,37 @@ class TestFastPathFlag:
         theory.assign(v, 1)
         assert theory.stats.icd_fast_path == 1
         w = solver.new_var(relevant=True)
-        theory.add_ws_var(w, 2, 0)  # against the current order: searches
-        theory.assign(w, 2)
-        assert theory.stats.icd_fast_path == 1
+        theory.add_ws_var(w, 2, 0)  # closes 0 -> 1 -> 2 -> 0: a cycle
+        assert theory.assign(w, 2).conflicts
+        x = solver.new_var(relevant=True)
+        theory.add_ws_var(x, 0, 2)  # consistent again: fast path
+        theory.assign(x, 3)
+        assert theory.stats.icd_fast_path == 2
+        assert theory.stats.edges_activated == 2
 
 
 class TestSearchSets:
     def test_fast_path_sets(self):
+        """The fast path runs no search, yet unit-edge propagation still
+        reaches closing edges beyond the pair ``(v, u)``."""
+        from repro.ordering import OrderingTheory
+        from repro.sat import Solver
+
         g = EventGraph(3)
-        det = IncrementalCycleDetector(g)
-        res = det.add_edge(mk_edge(0, 1))
-        # ord already consistent (0 < 1): trivial sets.
-        assert res.back_nodes == [0]
-        assert res.fwd_nodes == [1]
+        res = IncrementalCycleDetector(g).add_edge(mk_edge(0, 1))
+        assert res.fast_path and not res.cycle
+
+        theory = OrderingTheory(4, [(1, 2)])
+        solver = Solver(theory)
+        a = solver.new_var(relevant=True)
+        theory.add_rf_var(a, 0, 1)
+        c = solver.new_var(relevant=True)
+        theory.add_ws_var(c, 2, 0)  # would close 0 -> 1 -po-> 2 -> 0
+        d = solver.new_var(relevant=True)
+        theory.add_ws_var(d, 3, 0)  # 3 is unrelated: never unit
+        result = theory.assign(a, 1)
+        assert theory.stats.icd_fast_path == 1
+        assert result.propagations == [(-c, [-c, -a])]
 
     def test_search_sets_cover_window(self):
         g = EventGraph(4)
@@ -122,8 +140,9 @@ class TestSearchSets:
         # Force a reorder: insert edges against the initial order.
         det.add_edge(mk_edge(2, 3))
         res = det.add_edge(mk_edge(3, 1))  # ord[3] > ord[1] -> search
-        assert 3 in res.back_nodes
-        assert 1 in res.fwd_nodes
+        assert not res.fast_path and not res.cycle
+        # The reorder moved B = {2, 3} before F = {1}.
+        assert g.ord[2] < g.ord[3] < g.ord[1]
 
     def test_pseudo_topological_order_invariant(self):
         import random
@@ -144,15 +163,19 @@ class TestSearchSets:
                     assert g.ord[ed.src] < g.ord[ed.dst]
 
     def test_path_reasons(self):
+        from repro.ordering.kernel import bounded_backward, path_reason
+
         g = EventGraph(4)
         det = IncrementalCycleDetector(g)
         det.add_edge(mk_edge(1, 2, var=5))
         det.add_edge(mk_edge(2, 3, var=6))
-        # Insert 3 -> 0: backward search from 3 reaches 1 via vars 6, 5.
         res = det.add_edge(mk_edge(3, 0, var=7))
         assert res.cycle is False
-        if 1 in res.back_map():
-            assert sorted(res.back_path_reason(1)) == [5, 6]
+        # Backward search from 3 reaches 1 via vars 6, 5.
+        nodes, pars = bounded_backward(g, 3, 0, g.new_epoch())
+        memo = {}
+        assert sorted(path_reason(g, 1, dict(zip(nodes, pars)), True, memo)) == [5, 6]
+        assert memo[2] == [6]  # the shared prefix is memoized
 
 
 class _Oracle:
