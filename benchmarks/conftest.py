@@ -22,6 +22,7 @@ import pytest
 from repro.bench import nidhugg_suite, run_suite, svcomp_suite
 from repro.bench.harness import results_to_csv
 from repro.verify import VerifierConfig
+from repro.verify.config import env_knob
 
 #: Per-task wall-clock budget for the SV-COMP-like grid (seconds).
 SVCOMP_TIME_LIMIT = 10.0
@@ -31,7 +32,7 @@ NIDHUGG_TIME_LIMIT = 30.0
 #: paper's engine-vs-engine figures in parallel via repro.portfolio).
 #: Serial (1) remains the default: per-task wall times are the figures'
 #: payload and are cleanest on an unloaded machine.
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+BENCH_JOBS = env_knob("REPRO_BENCH_JOBS") or 1
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 

@@ -19,11 +19,11 @@ re-exports the same names).
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Union
 
 from repro.lang import ast
 from repro.verify import VerifierConfig
+from repro.verify.config import env_knob
 from repro.verify.verifier import verify_one
 
 __all__ = [
@@ -72,7 +72,7 @@ def verify(
 
         return verify_portfolio(program, portfolio, jobs=jobs)
     if server is None:
-        server = os.environ.get("REPRO_SERVER") or None
+        server = env_knob("REPRO_SERVER")
     if server is not None:
         from repro.service.client import ServiceClient
 
@@ -183,7 +183,7 @@ def serve(
     from repro.service.server import ServiceServer
 
     if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+        cache_dir = env_knob("REPRO_CACHE_DIR")
     server = ServiceServer(
         workers=workers,
         recycle_after=recycle_after,
@@ -217,7 +217,7 @@ def connect(
     from repro.service.client import ServiceClient
 
     if address is None:
-        address = os.environ.get("REPRO_SERVER") or None
+        address = env_knob("REPRO_SERVER")
     if address is None:
         raise ValueError(
             "no service address: pass connect(address=...) or set "

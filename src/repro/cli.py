@@ -172,9 +172,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--profile",
         metavar="FILE",
         help="profile the run with cProfile and write the dump to FILE "
-        "(inspect with: python -m pstats FILE); also prints a kernel-phase "
-        "summary attributing time to the flat SAT arena, the packed "
-        "ordering kernel, and the layers around them",
+        "(inspect with: python -m pstats FILE); the per-layer split "
+        "(time_*_s) is printed by --stats",
     )
     parser.add_argument(
         "--trace-jsonl",
@@ -224,54 +223,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 profiler.disable()
                 profiler.dump_stats(args.profile)
                 print(f"wrote profile to {args.profile}", file=sys.stderr)
-                _print_profile_phases(profiler)
             return code
         return _dispatch()
     except (LexError, ParseError, SemanticError) as exc:
         print(f"{args.file}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-#: Kernel-phase buckets for ``--profile``: the first path fragment that
-#: matches a frame's filename decides its phase, so cProfile output can be
-#: read as "where in the hot-path architecture did the time go" instead of
-#: a flat function list.  Order matters -- most specific first.
-_PROFILE_PHASES = (
-    ("sat/kernel.py", "sat-kernel (arena propagate / indexed heap)"),
-    ("sat/solver.py", "sat-search (analyze / branch / restarts)"),
-    ("sat/reference.py", "sat-reference (frozen pre-rewrite core)"),
-    ("ordering/kernel.py", "ord-kernel (packed bounded search)"),
-    ("ordering/icd.py", "ord-icd (incremental cycle detection)"),
-    ("ordering/event_graph.py", "ord-graph (edge store / activation)"),
-    ("ordering/", "ord-theory (propagation / conflicts)"),
-    ("encoding/", "encoding"),
-    ("lang/", "frontend"),
-    ("repro/", "repro-other"),
-)
-
-
-def _print_profile_phases(profiler) -> None:
-    """Aggregate a cProfile run into kernel-phase buckets on stderr."""
-    import pstats
-
-    stats = pstats.Stats(profiler, stream=sys.stderr)
-    buckets: dict = {}
-    total = 0.0
-    for (filename, _line, _name), (_cc, _nc, tottime, _ct, _callers) in (
-        stats.stats.items()  # type: ignore[attr-defined]
-    ):
-        total += tottime
-        norm = filename.replace("\\", "/")
-        for fragment, label in _PROFILE_PHASES:
-            if fragment in norm:
-                buckets[label] = buckets.get(label, 0.0) + tottime
-                break
-        else:
-            buckets[label := "stdlib/other"] = buckets.get(label, 0.0) + tottime
-    print("profile phases (tottime):", file=sys.stderr)
-    for label, t in sorted(buckets.items(), key=lambda kv: -kv[1]):
-        pct = 100.0 * t / total if total else 0.0
-        print(f"  {label:<45s} {t:8.3f}s {pct:5.1f}%", file=sys.stderr)
 
 
 def _config_kwargs(args) -> dict:
@@ -805,7 +761,9 @@ def _serve(argv: List[str]) -> int:
 
     cache_dir = args.cache_dir
     if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+        from repro.verify.config import env_knob
+
+        cache_dir = env_knob("REPRO_CACHE_DIR")
 
     try:
         server = ServiceServer(

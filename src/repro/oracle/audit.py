@@ -32,7 +32,9 @@ those invariants into hard checks:
 Auditing is opt-in: set ``REPRO_AUDIT=1`` in the environment (picked up
 by every :class:`~repro.sat.solver.Solver` /
 :class:`~repro.ordering.solver.OrderingTheory` at construction) or pass
-``VerifierConfig(audit=True)``.  A violation raises :class:`AuditError`,
+``VerifierConfig(audit=True)``.  A verification applies its config's
+resolved ``audit`` both ways, so ``VerifierConfig(audit=False)`` runs
+unaudited under ``REPRO_AUDIT=1``.  A violation raises :class:`AuditError`,
 an ``AssertionError`` subclass: under the crash-containment guard it
 surfaces as an ``ERROR`` verdict whose diagnostic names the broken
 invariant, which the fuzz harness (:mod:`repro.oracle.harness`) counts as
@@ -47,6 +49,7 @@ from typing import Callable, List, Optional, Sequence
 __all__ = [
     "AuditError",
     "audit_enabled",
+    "parse_audit",
     "check_icd_labels",
     "check_theory_sync",
     "check_conflict_clause",
@@ -66,24 +69,31 @@ class AuditError(AssertionError):
     into an ``ERROR`` verdict with the invariant in the diagnostic."""
 
 
+def parse_audit(raw: str) -> bool:
+    """The ``REPRO_AUDIT`` parser, shared with
+    :func:`repro.verify.config.env_knob`."""
+    return raw.strip().lower() in _TRUTHY
+
+
 def audit_enabled() -> bool:
     """Whether ``REPRO_AUDIT`` asks for auditing (read per construction,
     so tests can flip it with ``monkeypatch.setenv``)."""
-    return os.environ.get("REPRO_AUDIT", "").strip().lower() in _TRUTHY
+    return parse_audit(os.environ.get("REPRO_AUDIT", ""))
 
 
-def enable_audit(encoded) -> None:
-    """Switch auditing on for an encoded program's SAT core and theory
-    solver (mirror of :func:`repro.verify.telemetry.attach_telemetry`)."""
-    solver = getattr(encoded, "solver", None)
-    if solver is not None and hasattr(solver, "audit"):
-        solver.audit = True
+def enable_audit(encoded, on: bool = True) -> None:
+    """Switch auditing on (or, with ``on=False``, off) for an encoded
+    program's SAT core, theory solver and cycle detector, whatever
+    ``REPRO_AUDIT`` said when they were built (mirror of
+    :func:`repro.verify.telemetry.attach_telemetry`)."""
     theory = getattr(encoded, "theory", None)
-    if theory is not None and hasattr(theory, "audit"):
-        theory.audit = True
-    detector = getattr(theory, "detector", None)
-    if detector is not None and hasattr(detector, "audit"):
-        detector.audit = True
+    for component in (
+        getattr(encoded, "solver", None),
+        theory,
+        getattr(theory, "detector", None),
+    ):
+        if component is not None and hasattr(component, "audit"):
+            component.audit = on
 
 
 # ----------------------------------------------------------------------

@@ -411,10 +411,14 @@ class WorkerPool:
                 job.queue_wait = max(0.0, wall_ts - job.submitted)
             return
         self._beats.pop(wid, None)
-        retire = payload.pop("retire", None)
+        # A retiring worker's replacement is registered before the result
+        # is released, so whoever reads it never sees the pool short of a
+        # worker; the old process then gets ``term_grace_s`` to exit.
+        retired = self._replace(wid) if payload.pop("retire", None) else None
         self._resolve(job_id, payload, completed=True)
-        if retire:
-            self._replace(wid, stop=True)
+        if retired is not None:
+            retired.join(timeout=self.term_grace_s)
+            terminate([retired], self.term_grace_s)
 
     def _resolve(self, job_id: int, payload: Dict, completed=False) -> None:
         with self._lock:
@@ -426,10 +430,9 @@ class WorkerPool:
             self.jobs_done += 1
         job.future.set_result(payload)
 
-    def _replace(self, wid: int, stop: bool) -> None:
-        """Drop worker ``wid`` and spawn a replacement.  With ``stop`` the
-        worker is retiring: it exits by itself after its DONE, so it gets
-        ``term_grace_s`` to do so before :func:`terminate`."""
+    def _replace(self, wid: int):
+        """Drop worker ``wid``, spawn a replacement, and return the dropped
+        process (None if it was already gone)."""
         proc = self._procs.pop(wid, None)
         conn = self._conns.pop(wid, None)
         self._slots.pop(wid, None)
@@ -439,9 +442,7 @@ class WorkerPool:
         self.recycles += 1
         if not self._sealed or self._short_of_workers():
             self._spawn()
-        if proc is not None and stop:
-            proc.join(timeout=self.term_grace_s)
-            terminate([proc], self.term_grace_s)
+        return proc
 
     def _short_of_workers(self) -> bool:
         """Whether more jobs wait (queued, or claimed with START not yet
@@ -484,7 +485,7 @@ class WorkerPool:
                 "worker died mid-job without reporting a result "
                 f"(exitcode {proc.exitcode})",
             )
-            self._replace(wid, stop=False)
+            self._replace(wid)
 
     def _kill_hung(self) -> None:
         """Fail and kill busy workers silent for ``hang_timeout_s``."""
@@ -505,4 +506,4 @@ class WorkerPool:
             self._fail_worker(wid, f"worker hung: no heartbeat for {silent:.1f}s")
         terminate([self._procs[wid] for wid, _ in hung], self.term_grace_s)
         for wid, _ in hung:
-            self._replace(wid, stop=False)
+            self._replace(wid)

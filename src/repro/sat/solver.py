@@ -30,7 +30,7 @@ Literals are DIMACS integers (``v`` / ``-v``); variables are 1-based.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.robustness import checkpoint as _robustness_checkpoint
@@ -90,22 +90,7 @@ class SolverStats:
     shared_imported: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "restarts": self.restarts,
-            "learned": self.learned,
-            "theory_conflicts": self.theory_conflicts,
-            "theory_propagations": self.theory_propagations,
-            "max_trail": self.max_trail,
-            "watcher_visits": self.watcher_visits,
-            "heap_ops": self.heap_ops,
-            "incremental_calls": self.incremental_calls,
-            "clauses_retained": self.clauses_retained,
-            "shared_exported": self.shared_exported,
-            "shared_imported": self.shared_imported,
-        }
+        return asdict(self)
 
 
 #: Memoized Luby sequence (satellite: ``luby`` used to re-derive the
@@ -185,6 +170,10 @@ class Solver:
         #: Optional clause-exchange endpoint (portfolio clause sharing).
         self.share: Optional[ShareChannel] = None
         self.stats = SolverStats()
+        #: Seconds spent inside the theory callbacks (``assign``,
+        #: ``backjump``, ``final_check``), summed over every solve; the
+        #: ``theory`` child of the verifier's ``solve`` span.
+        self.theory_s = 0.0
         #: Debug-mode invariant auditing (``REPRO_AUDIT=1`` or
         #: ``VerifierConfig.audit``): checks that theory conflict clauses
         #: are falsified, propagation reasons are well-formed, and unsat
@@ -558,7 +547,9 @@ class Solver:
                     continue  # propagate before the next assumption
                 lit = self._pick_branch()
                 if lit == 0:
+                    t = time.perf_counter()
                     final = self.theory.final_check()
+                    self.theory_s += time.perf_counter() - t
                     if final.is_conflict:
                         handled = self._handle_theory_conflicts(final.conflicts)
                         if not handled:
@@ -585,6 +576,7 @@ class Solver:
         kernel = self.kernel
         trail = self._trail
         relevant = self._relevant
+        clock = time.perf_counter
         while True:
             conflict = kernel.propagate()
             if conflict != -1:
@@ -603,7 +595,9 @@ class Solver:
                 self._theory_qhead += 1
                 if not relevant[abs(lit)]:
                     continue
+                t = clock()
                 res = self.theory.assign(lit, self.decision_level)
+                self.theory_s += clock() - t
                 if res.is_conflict:
                     self.stats.theory_conflicts += 1
                     if self.telemetry is not None:
@@ -983,7 +977,9 @@ class Solver:
         self.kernel.cancel_until(level)
         if self._theory_qhead > len(self._trail):
             self._theory_qhead = len(self._trail)
+        t = time.perf_counter()
         self.theory.backjump(level)
+        self.theory_s += time.perf_counter() - t
 
     def _pick_branch(self) -> int:
         kernel = self.kernel

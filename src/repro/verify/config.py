@@ -7,28 +7,9 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-__all__ = ["VerifierConfig", "PRESETS", "ENV_VARS", "env_overrides"]
+from repro.oracle.audit import audit_enabled, parse_audit
 
-
-def _schedule_from_env(unwind: int) -> Tuple[int, ...]:
-    """Resolve ``REPRO_UNWIND_SCHEDULE``: ``1``/``true`` -> doubling
-    schedule up to ``unwind``; a comma list -> explicit bounds; anything
-    else -> one-shot."""
-    raw = os.environ.get("REPRO_UNWIND_SCHEDULE", "").strip().lower()
-    if not raw or raw in ("0", "false"):
-        return ()
-    if raw in ("1", "true"):
-        bounds = []
-        b = 1
-        while b < unwind:
-            bounds.append(b)
-            b *= 2
-        bounds.append(unwind)
-        return tuple(bounds)
-    try:
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        return ()
+__all__ = ["VerifierConfig", "PRESETS", "ENV_VARS", "env_knob", "env_overrides"]
 
 
 def _normalize_schedule(
@@ -38,7 +19,14 @@ def _normalize_schedule(
     (so the deepest solve is exactly the one-shot problem).  Empty means
     one-shot; non-SMT engines are always one-shot."""
     if schedule is None:
-        schedule = _schedule_from_env(unwind)
+        spec = env_knob("REPRO_UNWIND_SCHEDULE")
+        if spec == "doubling":
+            schedule, b = [], 1
+            while b < unwind:
+                schedule.append(b)
+                b *= 2
+        else:
+            schedule = spec
     if not schedule or engine != "smt":
         return ()
     bounds = sorted({int(b) for b in schedule})
@@ -153,17 +141,12 @@ class VerifierConfig:
         if not isinstance(self.fallbacks, tuple):
             object.__setattr__(self, "fallbacks", tuple(self.fallbacks))
         if self.audit is None:
-            from repro.oracle.audit import audit_enabled
-
             object.__setattr__(self, "audit", audit_enabled())
         else:
             object.__setattr__(self, "audit", bool(self.audit))
         if self.prune_level is None:
-            try:
-                level = int(os.environ.get("REPRO_PRUNE", "2"))
-            except ValueError:
-                level = 2
-            object.__setattr__(self, "prune_level", level)
+            level = env_knob("REPRO_PRUNE")
+            object.__setattr__(self, "prune_level", 2 if level is None else level)
         if not 0 <= self.prune_level <= 2:
             raise ValueError(
                 f"prune_level must be 0..2, got {self.prune_level!r}"
@@ -302,9 +285,9 @@ class VerifierConfig:
 # ----------------------------------------------------------------------
 
 #: Every ``REPRO_*`` environment variable the code base reads, with a
-#: one-line contract.  :func:`env_overrides` is the single documented
-#: reader; ``tests/service/test_env_overrides.py`` greps the source tree
-#: and fails when a knob ships without an inventory row here.
+#: one-line contract.  :func:`env_knob` is the one parser per knob;
+#: ``tests/service/test_env_overrides.py`` greps the source tree and fails
+#: when a knob ships without an inventory row here.
 ENV_VARS: Dict[str, str] = {
     "REPRO_PRUNE": (
         "static-analysis encoding pruning level 0..2 "
@@ -340,14 +323,57 @@ ENV_VARS: Dict[str, str] = {
     ),
 }
 
-_TRUTHY = ("1", "true", "yes", "on")
+
+def _parse_int(default: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        try:
+            return int(raw)
+        except ValueError:
+            return default
+
+    return parse
+
+
+def _parse_schedule(raw: str):
+    lowered = raw.lower()
+    if lowered in ("1", "true"):
+        return "doubling"
+    if lowered in ("0", "false"):
+        return None
+    try:
+        return tuple(int(p) for p in raw.split(",") if p.strip())
+    except ValueError:
+        return None
+
+
+#: The one parser per knob, applied to the stripped, non-empty raw value.
+#: Knobs without an entry are plain strings.
+_ENV_PARSERS: Dict[str, Callable[[str], Any]] = {
+    "REPRO_PRUNE": _parse_int(2),
+    "REPRO_UNWIND_SCHEDULE": _parse_schedule,
+    "REPRO_AUDIT": parse_audit,
+    "REPRO_FAULTS": lambda raw: tuple(
+        p.strip() for p in raw.split(",") if p.strip()
+    ),
+    "REPRO_BENCH_JOBS": _parse_int(1),
+}
+
+
+def env_knob(name: str, environ: Optional[Mapping[str, str]] = None) -> Any:
+    """The parsed value of the ``REPRO_*`` knob ``name`` in ``environ``
+    (default: ``os.environ``), or ``None`` when it is unset or blank."""
+    value = (os.environ if environ is None else environ).get(name)
+    if value is None or not value.strip():
+        return None
+    return _ENV_PARSERS.get(name, str)(value.strip())
 
 
 def env_overrides(
     environ: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
     """Read every documented ``REPRO_*`` knob from ``environ`` (default:
-    ``os.environ``) into one dict, parsed the way its consumer parses it.
+    ``os.environ``) into one dict, through :func:`env_knob`, the parsing
+    its consumers use.
 
     Returns a dict with exactly the keys of :data:`ENV_VARS`; unset knobs
     map to ``None``.  Parsed values:
@@ -362,52 +388,7 @@ def env_overrides(
     * ``REPRO_SERVER`` -> the address string, stripped;
     * ``REPRO_CACHE_DIR`` -> the directory path, stripped.
     """
-    env = os.environ if environ is None else environ
-
-    def raw(name: str) -> Optional[str]:
-        value = env.get(name)
-        if value is None or not value.strip():
-            return None
-        return value.strip()
-
-    out: Dict[str, Any] = dict.fromkeys(ENV_VARS)
-    prune = raw("REPRO_PRUNE")
-    if prune is not None:
-        try:
-            out["REPRO_PRUNE"] = int(prune)
-        except ValueError:
-            out["REPRO_PRUNE"] = 2
-    schedule = raw("REPRO_UNWIND_SCHEDULE")
-    if schedule is not None:
-        lowered = schedule.lower()
-        if lowered in ("0", "false"):
-            out["REPRO_UNWIND_SCHEDULE"] = None
-        elif lowered in ("1", "true"):
-            out["REPRO_UNWIND_SCHEDULE"] = "doubling"
-        else:
-            try:
-                out["REPRO_UNWIND_SCHEDULE"] = tuple(
-                    int(p) for p in schedule.split(",") if p.strip()
-                )
-            except ValueError:
-                out["REPRO_UNWIND_SCHEDULE"] = None
-    audit = raw("REPRO_AUDIT")
-    if audit is not None:
-        out["REPRO_AUDIT"] = audit.lower() in _TRUTHY
-    faults = raw("REPRO_FAULTS")
-    if faults is not None:
-        out["REPRO_FAULTS"] = tuple(
-            p.strip() for p in faults.split(",") if p.strip()
-        )
-    jobs = raw("REPRO_BENCH_JOBS")
-    if jobs is not None:
-        try:
-            out["REPRO_BENCH_JOBS"] = int(jobs)
-        except ValueError:
-            out["REPRO_BENCH_JOBS"] = 1
-    out["REPRO_SERVER"] = raw("REPRO_SERVER")
-    out["REPRO_CACHE_DIR"] = raw("REPRO_CACHE_DIR")
-    return out
+    return {name: env_knob(name, environ) for name in ENV_VARS}
 
 
 #: The named tool presets of the Section 6 evaluation, keyed by display

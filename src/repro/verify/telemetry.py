@@ -1,11 +1,24 @@
-"""Structured solver telemetry: normalized result stats and an optional
-JSONL event trace.
+"""Structured solver telemetry: normalized result stats, the per-layer
+span record, and an optional JSONL event trace.
 
 Every :class:`~repro.verify.result.VerificationResult` carries a ``stats``
 dict normalized by :func:`normalize_stats`: the canonical counters in
 :data:`STAT_KEYS` are always present (zero when an engine does not track
 them), and engine-specific extras are preserved.  Portfolio runs can
 therefore be compared column-by-column without per-engine special cases.
+The canonical counters are declared once, by the components that own
+them: the fields of :class:`~repro.sat.solver.SolverStats` and
+:class:`~repro.encoding.encoder.EncodingStats`, plus the stateless
+engines' and the verification service's keys.
+
+The SMT engine times its layers with one :class:`Spans` record:
+``frontend``, ``encode`` and ``solve``, plus ``witness`` on UNSAFE, each
+measured exactly once.  Two children are read from counters their
+components already keep: ``analysis`` (the encoder's prune-plan build
+time, part of ``encode``) and ``theory`` (the SAT core's time inside the
+theory callbacks, part of ``solve``).  The record lands in ``stats`` as
+``time_<name>_s`` and in the trace as one ``phase`` event per entry, with
+the same numbers.
 
 Setting ``VerifierConfig(trace_jsonl=PATH)`` additionally streams a
 line-per-event JSONL trace while the engine runs.  Schema: every line is a
@@ -15,20 +28,22 @@ JSON object
 
 with these events:
 
-============== ================================================= =========
-event          emitted by                                        fields
-============== ================================================= =========
-verify_start   :func:`repro.verify.verify`                       engine, config
-phase          the SMT engine, once per pipeline phase           name, wall_s
-solve_start    the SAT core, entering CDCL search                nvars, clauses
-restart        the SAT core, per Luby restart                    index, conflicts
-theory_conflict the DPLL(T) loop, per theory conflict            level, clauses
+================== ============================================= =========
+event              emitted by                                    fields
+================== ============================================= =========
+verify_start       :func:`repro.verify.verify`                   engine, config
+phase              the SMT engine's :class:`Spans`, once per     name, wall_s
+                   entry as it closes (frontend, encode,
+                   analysis, solve, theory, witness)
+solve_start        the SAT core, entering CDCL search            nvars, clauses
+restart            the SAT core, per Luby restart                index, conflicts
+theory_conflict    the DPLL(T) loop, per theory conflict         level, clauses
 theory_propagation the DPLL(T) loop, per propagation batch       count
-icd_reorder    the incremental cycle detector, per reordering    back, fwd
-bound          the SMT engine, per unwind-schedule bound         bound, answer, wall_s, conflicts
-solve_end      the SAT core, leaving CDCL search                 result + counters
-verify_end     :func:`repro.verify.verify`                       verdict, wall_time_s
-============== ================================================= =========
+icd_reorder        the incremental cycle detector, per reorder   back, fwd
+bound              the SMT engine, per unwind-schedule bound     bound, answer, wall_s, conflicts
+solve_end          the SAT core, leaving CDCL search             result + counters
+verify_end         :func:`repro.verify.verify`                   verdict, wall_time_s
+================== ============================================= =========
 
 Third-party engines receive the active :class:`TraceWriter` as the
 ``telemetry`` argument of their runner and may emit their own events; the
@@ -39,51 +54,30 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, Iterator, List, Mapping, Optional
+from contextlib import contextmanager
+from dataclasses import fields
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
+
+from repro.encoding.encoder import EncodingStats
+from repro.sat.solver import SolverStats
 
 __all__ = [
     "STAT_KEYS",
     "normalize_stats",
+    "Spans",
     "TraceWriter",
     "attach_telemetry",
     "read_trace",
 ]
 
-#: Canonical counters present in every normalized ``stats`` dict.  SAT-core
-#: counters, encoding sizes, and the stateless engines' exploration
-#: counters; engines that do not track a counter report 0.
+#: Canonical counters present in every normalized ``stats`` dict; engines
+#: that do not track a counter report 0.
 STAT_KEYS = (
-    # CDCL core
-    "decisions",
-    "propagations",
-    "conflicts",
-    "restarts",
-    "learned",
-    "theory_conflicts",
-    "theory_propagations",
-    "max_trail",
-    # exact hot-loop counters (tracked natively by the flat kernel:
-    # watcher-pair visits during propagation, indexed-heap operations)
-    "watcher_visits",
-    "heap_ops",
-    # incremental solving (assumption-based re-solves, clause sharing)
-    "incremental_calls",
-    "clauses_retained",
-    "shared_exported",
-    "shared_imported",
-    # encoding sizes
-    "rf_vars",
-    "ws_vars",
-    "fr_vars",
-    "sat_vars",
-    "sat_clauses",
-    # stateless exploration
+    *(f.name for f in fields(SolverStats)),
+    *(f.name for f in fields(EncodingStats)),
+    # stateless exploration (repro.smc, repro.baselines.lazyseq)
     "traces",
     "transitions",
-    # static analysis / encoding pruning (repro.analysis)
-    "analysis_pairs_total",
-    "analysis_pairs_pruned",
-    "analysis_time_s",
     # verification service (repro.service); zero for in-process runs
     "cache_hit",
     "queue_wait_s",
@@ -138,6 +132,41 @@ def normalize_stats(raw: Optional[Mapping]) -> Dict[str, float]:
     if dropped:
         out["stats_dropped"] = sorted(dropped)
     return out
+
+
+class Spans:
+    """One verification's layer timings, each measured exactly once.
+
+    :meth:`span` times a layer; ``children`` name durations the layer's
+    components already measured, read when the layer closes normally.
+    Each entry is recorded rounded, streamed to the trace as a ``phase``
+    event, and serialised by :meth:`as_stats`, so both outputs carry the
+    same numbers."""
+
+    __slots__ = ("wall_s", "_writer")
+
+    def __init__(self, writer: Optional["TraceWriter"] = None) -> None:
+        #: Seconds per entry, in the order the entries closed.
+        self.wall_s: Dict[str, float] = {}
+        self._writer = writer
+
+    @contextmanager
+    def span(self, name: str, **children: Callable[[], float]) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._record(name, time.perf_counter() - start)
+        for child, read in children.items():
+            self._record(child, read())
+
+    def _record(self, name: str, seconds: float) -> None:
+        self.wall_s[name] = wall_s = round(seconds, 6)
+        if self._writer is not None:
+            self._writer.emit("phase", name=name, wall_s=wall_s)
+
+    def as_stats(self) -> Dict[str, float]:
+        return {f"time_{name}_s": s for name, s in self.wall_s.items()}
 
 
 class TraceWriter:

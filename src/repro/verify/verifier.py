@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from dataclasses import asdict
 from typing import Optional, Union
 
 from repro.frontend import build_symbolic_program
 from repro.lang import ast, parse
 from repro.robustness import active_budget, checkpoint, effective_time_limit
-from repro.robustness.budget import Budget
+from repro.oracle.audit import enable_audit
+from repro.robustness.budget import Budget, BudgetExceeded
 from repro.robustness.fallback import Attempt, resolve_chain
 from repro.robustness.guard import run_guarded
 from repro.sat import SolveResult
@@ -34,12 +36,22 @@ from repro.sat import sharing as _sharing
 from repro.verify import registry
 from repro.verify.config import VerifierConfig
 from repro.verify.result import Verdict, VerificationResult
-from repro.verify.telemetry import TraceWriter, attach_telemetry, normalize_stats
+from repro.verify.telemetry import (
+    Spans,
+    TraceWriter,
+    attach_telemetry,
+    normalize_stats,
+)
 from repro.verify.witness import extract_trace
 
 __all__ = ["verify_one", "run_smt_engine"]
 
 _CONCLUSIVE = (Verdict.SAFE, Verdict.UNSAFE)
+_VERDICT = {
+    SolveResult.SAT: Verdict.UNSAFE,
+    SolveResult.UNSAT: Verdict.SAFE,
+    SolveResult.UNKNOWN: Verdict.UNKNOWN,
+}
 
 
 def verify_one(
@@ -167,93 +179,78 @@ def run_smt_engine(
     theory state of the shallower ones.
     """
     schedule = config.unwind_schedule
-    t0 = time.monotonic()
-    checkpoint("frontend")
-    sym = build_symbolic_program(
-        program,
-        unwind=config.unwind,
-        width=config.width,
-        unwind_assumptions=bool(schedule),
-    )
-    checkpoint("frontend")
-    t_frontend = time.monotonic() - t0
-
-    encode = registry.resolve_theory(config.theory)
-    t1 = time.monotonic()
-    checkpoint("encode")
-    encoded = encode(sym, config)
-    t_encode = time.monotonic() - t1
-    if telemetry is not None:
-        telemetry.emit("phase", name="frontend", wall_s=round(t_frontend, 6))
-        if encoded.stats.analysis_time_s:
-            telemetry.emit(
-                "phase",
-                name="analysis",
-                wall_s=round(encoded.stats.analysis_time_s, 6),
+    spans = Spans(telemetry)
+    try:
+        with spans.span("frontend"):
+            checkpoint("frontend")
+            sym = build_symbolic_program(
+                program,
+                unwind=config.unwind,
+                width=config.width,
+                unwind_assumptions=bool(schedule),
             )
-        telemetry.emit("phase", name="encode", wall_s=round(t_encode, 6))
+            checkpoint("frontend")
+
+        encode = registry.resolve_theory(config.theory)
+        # Children are read when their span closes, after the body ran.
+        with spans.span(
+            "encode", analysis=lambda: encoded.stats.analysis_time_s
+        ):
+            checkpoint("encode")
+            encoded = encode(sym, config)
         attach_telemetry(encoded, telemetry)
-    if config.audit:
-        from repro.oracle.audit import enable_audit
+        enable_audit(encoded, config.audit)
 
-        enable_audit(encoded)
+        if encoded.trivially_safe:
+            return VerificationResult(
+                Verdict.SAFE, config.name, stats=spans.as_stats()
+            )
 
-    if encoded.trivially_safe:
-        return VerificationResult(Verdict.SAFE, config.name)
+        # Portfolio clause sharing: a worker attaches its channel
+        # process-wide before verify() runs (configs stay picklable); pick
+        # it up here.  A signed channel is only honored when this config
+        # produces the same encoding the channel's clauses came from -- a
+        # fallback preset running in the same process may encode the
+        # program differently.
+        share = _sharing.active_channel()
+        if share is not None and share.signature is not None:
+            from repro.portfolio.sharing import encoding_signature
 
-    # Portfolio clause sharing: a worker attaches its channel process-wide
-    # before verify() runs (configs stay picklable); pick it up here.  A
-    # signed channel is only honored when this config produces the same
-    # encoding the channel's clauses came from -- a fallback preset running
-    # in the same process may encode the program differently.
-    share = _sharing.active_channel()
-    if share is not None and share.signature is not None:
-        from repro.portfolio.sharing import encoding_signature
+            if share.signature != encoding_signature(config):
+                share = None
+        if share is not None:
+            encoded.solver.share = share
 
-        if share.signature != encoding_signature(config):
-            share = None
-    if share is not None:
-        encoded.solver.share = share
+        # The frozen reference core has no theory timer: read it tolerantly.
+        solver = encoded.solver
+        with spans.span("solve", theory=lambda: getattr(solver, "theory_s", 0.0)):
+            if schedule:
+                answer, bound_stats = _solve_schedule(encoded, config, telemetry)
+            else:
+                bound_stats = None
+                answer = solver.solve(
+                    max_conflicts=config.max_conflicts,
+                    time_limit_s=effective_time_limit(config.time_limit_s),
+                )
+        witness = None
+        if answer == SolveResult.SAT:
+            with spans.span("witness"):
+                witness = extract_trace(encoded)
+    except BudgetExceeded as exc:
+        exc.partial_stats.update(spans.as_stats())
+        raise
 
-    t2 = time.monotonic()
-    if schedule:
-        answer, bound_stats = _solve_schedule(encoded, config, telemetry)
-    else:
-        bound_stats = None
-        answer = encoded.solver.solve(
-            max_conflicts=config.max_conflicts,
-            time_limit_s=effective_time_limit(config.time_limit_s),
-        )
-    t_solve = time.monotonic() - t2
-    stats = dict(encoded.solver.stats.as_dict())
+    stats = solver.stats.as_dict()
     if bound_stats is not None:
         stats["unwind_schedule"] = list(schedule)
         stats["bounds"] = bound_stats
     theory_stats = getattr(encoded.theory, "stats", None)
     if theory_stats is not None:
         stats.update({f"theory_{k}": v for k, v in theory_stats.as_dict().items()})
-    stats["rf_vars"] = encoded.stats.rf_vars
-    stats["ws_vars"] = encoded.stats.ws_vars
-    stats["fr_vars"] = encoded.stats.fr_vars
-    stats["sat_vars"] = encoded.stats.sat_vars
-    stats["sat_clauses"] = encoded.stats.sat_clauses
-    stats["analysis_pairs_total"] = encoded.stats.analysis_pairs_total
-    stats["analysis_pairs_pruned"] = encoded.stats.analysis_pairs_pruned
-    stats["analysis_time_s"] = round(encoded.stats.analysis_time_s, 6)
-    stats["time_frontend_s"] = round(t_frontend, 6)
-    stats["time_encode_s"] = round(t_encode, 6)
-    stats["time_solve_s"] = round(t_solve, 6)
-
-    if answer == SolveResult.UNKNOWN:
-        return VerificationResult(Verdict.UNKNOWN, config.name, stats=stats)
-    if answer == SolveResult.UNSAT:
-        return VerificationResult(Verdict.SAFE, config.name, stats=stats)
-    t3 = time.monotonic()
-    witness = extract_trace(encoded)
-    if telemetry is not None:
-        telemetry.emit("phase", name="witness", wall_s=round(time.monotonic() - t3, 6))
+    stats.update(asdict(encoded.stats))
+    stats.update(spans.as_stats())
     return VerificationResult(
-        Verdict.UNSAFE, config.name, witness=witness, stats=stats
+        _VERDICT[answer], config.name, witness=witness, stats=stats
     )
 
 

@@ -67,6 +67,32 @@ class TestAuditEnabled:
         enc.solver, enc.theory = solver, theory
         enable_audit(enc)
         assert solver.audit and theory.audit and theory.detector.audit
+        enable_audit(enc, on=False)
+        assert not (solver.audit or theory.audit or theory.detector.audit)
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_config_overrides_env_both_ways(self, monkeypatch, audit):
+        """Under ``REPRO_AUDIT=1`` the components are built auditing;
+        the verification's resolved config decides whether they do."""
+        import repro.oracle.audit as audit_mod
+
+        calls = []
+        for name in audit_mod.__all__:
+            if name.startswith("check_"):
+                check = getattr(audit_mod, name)
+                monkeypatch.setattr(
+                    audit_mod,
+                    name,
+                    lambda *a, _check=check, _name=name: (
+                        calls.append(_name), _check(*a)
+                    )[1],
+                )
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        result = verify(UNSAFE_SRC, VerifierConfig(audit=audit))
+        assert result.verdict == Verdict.UNSAFE
+        assert bool(calls) is audit
+        if audit:
+            assert "check_icd_labels" in calls
 
 
 class TestIcdLabels:

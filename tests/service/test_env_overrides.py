@@ -9,7 +9,10 @@ The rest pins :func:`env_overrides` parsing.
 import re
 from pathlib import Path
 
-from repro.verify.config import ENV_VARS, env_overrides
+import pytest
+
+from repro.verify import Verdict
+from repro.verify.config import ENV_VARS, VerifierConfig, env_overrides
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -93,3 +96,33 @@ class TestParsing:
         env = {"REPRO_SERVER": "  127.0.0.1:9000  "}
         assert env_overrides(environ=env)["REPRO_SERVER"] == "127.0.0.1:9000"
         assert env_overrides(environ={"REPRO_SERVER": "  "})["REPRO_SERVER"] is None
+
+
+_KNOBS = ("REPRO_PRUNE", "REPRO_UNWIND_SCHEDULE", "REPRO_AUDIT")
+
+
+@pytest.mark.parametrize("raw", ["", " 0 ", "true", "2,4", "x", "on"])
+def test_config_resolves_knobs_like_env_overrides(monkeypatch, raw):
+    """``VerifierConfig`` resolves each knob through the same parsing
+    :func:`env_overrides` reports."""
+    for name in _KNOBS:
+        monkeypatch.setenv(name, raw)
+    parsed = env_overrides()
+    config = VerifierConfig(unwind=8)
+    prune = parsed["REPRO_PRUNE"]
+    assert config.prune_level == (2 if prune is None else prune)
+    assert config.audit is bool(parsed["REPRO_AUDIT"])
+    schedule = parsed["REPRO_UNWIND_SCHEDULE"]
+    bounds = {None: (), "doubling": (1, 2, 4, 8)}.get(schedule, schedule)
+    expected = VerifierConfig(unwind=8, unwind_schedule=bounds).unwind_schedule
+    assert config.unwind_schedule == expected
+
+
+def test_blank_server_address_means_in_process(monkeypatch):
+    """A blank ``REPRO_SERVER`` is unset, as :func:`env_overrides` says,
+    not an address ``repro.verify`` tries to parse."""
+    from repro.api import verify
+
+    monkeypatch.setenv("REPRO_SERVER", "  ")
+    result = verify("int x = 0; main { assert(x == 0); }")
+    assert result.verdict == Verdict.SAFE

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.verify import STAT_KEYS, VerifierConfig, normalize_stats, verify
-from repro.verify.telemetry import TraceWriter, read_trace
-from tests.verify.programs import PAPER_FIG2, RACE_UNSAFE
+from repro.verify import STAT_KEYS, Verdict, VerifierConfig, normalize_stats, verify
+from repro.verify.telemetry import Spans, TraceWriter, read_trace
+from tests.verify.programs import LOOP_SUM_SAFE, PAPER_FIG2, RACE_UNSAFE
 
 
 class TestNormalizedStats:
@@ -28,11 +28,78 @@ class TestNormalizedStats:
         out = normalize_stats(None)
         assert all(out[k] == 0 for k in STAT_KEYS)
 
+    def test_stat_keys_are_the_canonical_27(self):
+        assert set(STAT_KEYS) == {
+            "decisions", "propagations", "conflicts", "restarts", "learned",
+            "theory_conflicts", "theory_propagations", "max_trail",
+            "watcher_visits", "heap_ops", "incremental_calls",
+            "clauses_retained", "shared_exported", "shared_imported",
+            "rf_vars", "ws_vars", "fr_vars", "sat_vars", "sat_clauses",
+            "analysis_pairs_total", "analysis_pairs_pruned",
+            "analysis_time_s", "traces", "transitions", "cache_hit",
+            "queue_wait_s", "worker_recycles",
+        }
+        assert len(STAT_KEYS) == 27
+
     def test_smt_phase_times_reported(self):
         result = verify(RACE_UNSAFE, VerifierConfig.zord())
-        for key in ("time_frontend_s", "time_encode_s", "time_solve_s"):
+        for key in ("time_frontend_s", "time_encode_s", "time_solve_s",
+                    "time_theory_s", "time_witness_s", "analysis_time_s"):
             assert key in result.stats
             assert result.stats[key] >= 0
+        assert result.stats["time_theory_s"] <= result.stats["time_solve_s"]
+
+
+class TestSpans:
+    """One span record feeds both ``result.stats`` and the trace."""
+
+    def test_phase_events_match_stats(self, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        result = verify(RACE_UNSAFE, VerifierConfig.zord(trace_jsonl=trace))
+        phases = {
+            r["name"]: r["wall_s"]
+            for r in read_trace(trace)
+            if r["event"] == "phase"
+        }
+        assert set(phases) == {
+            "frontend", "encode", "analysis", "solve", "theory", "witness"
+        }
+        for name, wall_s in phases.items():
+            assert result.stats[f"time_{name}_s"] == wall_s
+
+    def test_theory_within_solve(self):
+        for program in (RACE_UNSAFE, PAPER_FIG2, LOOP_SUM_SAFE):
+            stats = verify(program, VerifierConfig.zord()).stats
+            assert 0 <= stats["time_theory_s"] <= stats["time_solve_s"]
+
+    def test_bounds_within_solve(self):
+        # The violation needs three loop iterations: bounds 1 and 2 are
+        # UNSAT under their assumptions, bound 4 finds it.
+        deep_bug = LOOP_SUM_SAFE.replace("x == 3", "x != 3")
+        config = VerifierConfig.zord(unwind=4, unwind_schedule=(1, 2, 4))
+        stats = verify(deep_bug, config).stats
+        assert [b["bound"] for b in stats["bounds"]] == [1, 2, 4]
+        assert sum(b["wall_s"] for b in stats["bounds"]) <= stats["time_solve_s"]
+
+    def test_budget_unknown_keeps_closed_spans(self):
+        result = verify(PAPER_FIG2, VerifierConfig.zord(time_limit_s=1e-9))
+        assert result.verdict == Verdict.UNKNOWN
+        assert "budget_phase" in result.stats
+        assert "time_frontend_s" in result.stats
+
+    def test_spans_record_once_and_read_children_on_exit(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        with TraceWriter(path) as writer:
+            spans = Spans(writer)
+            with spans.span("solve", theory=lambda: 0.25):
+                pass
+            with pytest.raises(RuntimeError):
+                with spans.span("witness", never=lambda: 1 / 0):
+                    raise RuntimeError
+        assert list(spans.wall_s) == ["solve", "theory", "witness"]
+        assert spans.as_stats()["time_theory_s"] == 0.25
+        events = [(r["name"], r["wall_s"]) for r in read_trace(path)]
+        assert events == list(spans.wall_s.items())
 
 
 class TestJsonlTrace:
