@@ -10,12 +10,17 @@ Run:  python examples/stateless_model_checking.py
 
 from repro.bench.nidhugg import FAMILIES
 from repro.lang import parse
-from repro.smc import Explorer, compile_program
+from repro.robustness import Budget, BudgetExceeded, active_budget
+from repro.smc import ExploreOutcome, Explorer, compile_program
 
 
 def explore(task, mode, time_limit=10.0):
     compiled = compile_program(parse(task.source), width=8, unwind=task.unwind)
-    return Explorer(compiled, mode=mode, time_limit_s=time_limit).run()
+    try:
+        with active_budget(Budget(time_limit_s=time_limit)):
+            return Explorer(compiled, mode=mode).run()
+    except BudgetExceeded:
+        return ExploreOutcome(verdict="unknown")
 
 
 def main() -> None:

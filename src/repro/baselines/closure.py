@@ -25,7 +25,7 @@ from repro.encoding.cnf import CnfBuilder
 from repro.frontend import build_symbolic_program
 from repro.lang import ast
 from repro.ordering.solver import OrderingTheory
-from repro.robustness import checkpoint, effective_time_limit
+from repro.robustness import checkpoint
 from repro.sat import SolveResult, Solver
 from repro.verify.result import Verdict, VerificationResult
 from repro.verify.witness import Trace, TraceStep
@@ -180,10 +180,7 @@ def verify_closure(program: ast.Program, config) -> VerificationResult:
                     if ws_a is not None and ws_b is not None:
                         builder.add_clause([-rf, -ws_a, -ws_b])
 
-    answer = solver.solve(
-        max_conflicts=config.max_conflicts,
-        time_limit_s=effective_time_limit(config.time_limit_s),
-    )
+    answer = solver.solve()
     stats = dict(solver.stats.as_dict())
     stats.update(
         {
@@ -193,8 +190,6 @@ def verify_closure(program: ast.Program, config) -> VerificationResult:
             "ws_vars": ws_count,
         }
     )
-    if answer == SolveResult.UNKNOWN:
-        return VerificationResult(Verdict.UNKNOWN, config.name, stats=stats)
     if answer == SolveResult.UNSAT:
         return VerificationResult(Verdict.SAFE, config.name, stats=stats)
 

@@ -11,12 +11,11 @@ exhibits.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.lang import ast
-from repro.robustness import checkpoint, effective_time_limit
+from repro.robustness import BudgetExceeded, checkpoint, get_active
 from repro.smc.compile import compile_program
 from repro.smc.interpreter import Interpreter
 from repro.verify.result import Verdict, VerificationResult
@@ -31,62 +30,50 @@ def verify_explicit(program: ast.Program, config) -> VerificationResult:
     checkpoint("engine")
     compiled = compile_program(program, width=config.width, unwind=config.unwind)
     interp = Interpreter(compiled)
-    time_limit_s = effective_time_limit(config.time_limit_s)
-    start = time.monotonic()
+    budget = get_active()
 
     init = interp.initial_state()
     visited: Set[Tuple] = {init.key()}
     queue = deque([init])
     explored = 0
-    exhausted = True
-    limit_hit = None
 
-    while queue:
-        if time_limit_s is not None and (
-            time.monotonic() - start > time_limit_s
-        ):
-            exhausted = False
-            limit_hit = "time"
-            break
-        if config.max_conflicts is not None and explored >= config.max_conflicts:
-            # The state-count cap is the explicit engine's analogue of the
-            # SMT engine's conflict cap.
-            exhausted = False
-            limit_hit = "states"
-            break
-        state = queue.popleft()
-        explored += 1
-        if explored & 0xFF == 0:
-            checkpoint("engine", conflicts=256)
-        if state.infeasible:
-            continue  # failed assume / unwind bound: not a real execution
-        ops = interp.enabled_ops(state)
-        if not ops:
-            if interp.is_complete(state) and state.violated:
-                return VerificationResult(
-                    Verdict.UNSAFE,
-                    config.name,
-                    stats={"states": len(visited), "explored": explored},
-                )
-            continue
-        for op in ops:
-            values = _NONDET_DOMAIN if op.kind == "nondet" else (0,)
-            for v in values:
-                child = state.clone()
-                interp.step(child, op.tid, v)
-                key = child.key()
-                if key not in visited:
-                    visited.add(key)
-                    queue.append(child)
+    def counters():
+        return {"states": len(visited), "explored": explored}
 
-    if not exhausted:
-        verdict = Verdict.UNKNOWN
-    elif compiled.uses_nondet and len(_NONDET_DOMAIN) < (1 << compiled.width):
+    try:
+        while queue:
+            state = queue.popleft()
+            explored += 1
+            if budget is not None:
+                # One explored state is this engine's unit of work.
+                budget.charge_conflicts(1, "engine")
+            if explored & 0xFF == 0:
+                checkpoint("engine")
+            if state.infeasible:
+                continue  # failed assume / unwind bound: not a real execution
+            ops = interp.enabled_ops(state)
+            if not ops:
+                if interp.is_complete(state) and state.violated:
+                    return VerificationResult(
+                        Verdict.UNSAFE, config.name, stats=counters()
+                    )
+                continue
+            for op in ops:
+                values = _NONDET_DOMAIN if op.kind == "nondet" else (0,)
+                for v in values:
+                    child = state.clone()
+                    interp.step(child, op.tid, v)
+                    key = child.key()
+                    if key not in visited:
+                        visited.add(key)
+                        queue.append(child)
+    except BudgetExceeded as exc:
+        exc.partial_stats.update(counters())
+        raise
+
+    if compiled.uses_nondet and len(_NONDET_DOMAIN) < (1 << compiled.width):
         # Bounded nondet enumeration cannot prove safety.
         verdict = Verdict.UNKNOWN
     else:
         verdict = Verdict.SAFE
-    stats = {"states": len(visited), "explored": explored}
-    if limit_hit is not None:
-        stats["limit_hit"] = limit_hit
-    return VerificationResult(verdict, config.name, stats=stats)
+    return VerificationResult(verdict, config.name, stats=counters())

@@ -13,11 +13,10 @@ the bound are discarded.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Tuple
 
 from repro.lang import ast
-from repro.robustness import checkpoint, effective_time_limit
+from repro.robustness import BudgetExceeded, checkpoint, get_active
 from repro.smc.compile import compile_program
 from repro.smc.interpreter import ExecState, Interpreter
 from repro.verify.result import Verdict, VerificationResult
@@ -43,86 +42,74 @@ def verify_lazyseq(program: ast.Program, config) -> VerificationResult:
     interp = Interpreter(compiled)
     order = ["main"] + sorted(compiled.threads)
     max_pos = config.rounds * len(order)
-    time_limit_s = effective_time_limit(config.time_limit_s)
-    start = time.monotonic()
+    budget = get_active()
 
     stack = [_Node(interp.initial_state(), 0)]
     traces = 0
     discarded = 0
     transitions = 0
-    exhausted = True
-    limit_hit = None
 
-    while stack:
-        if time_limit_s is not None and (
-            time.monotonic() - start > time_limit_s
-        ):
-            exhausted = False
-            limit_hit = "time"
-            break
-        if config.max_conflicts is not None and transitions >= config.max_conflicts:
-            # The transition cap is the sequentialized engine's analogue of
-            # the SMT engine's conflict cap.
-            exhausted = False
-            limit_hit = "transitions"
-            break
-        transitions += 1
-        if transitions & 0xFF == 0:
-            checkpoint("engine", conflicts=256)
-        node = stack[-1]
-        if node.pending is None:
-            state = node.state
-            if state.infeasible:
-                # A thread failed an assume / exceeded the unwind bound:
-                # no completion of this path is a valid execution.
-                discarded += 1
-                stack.pop()
-                continue
-            if interp.is_complete(state):
-                traces += 1
-                if state.violated:
-                    return VerificationResult(
-                        Verdict.UNSAFE,
-                        config.name,
-                        stats={"traces": traces, "discarded": discarded},
-                    )
-                stack.pop()
-                continue
-            if node.pos >= max_pos:
-                discarded += 1  # ran out of rounds
-                stack.pop()
-                continue
-            tid = order[node.pos % len(order)]
-            op = interp.front(state, tid)
-            pending: List[Tuple[str, int]] = []
-            if op is not None and interp._is_enabled(state, op):
-                if op.kind == "nondet":
-                    pending.extend(("step", v) for v in _NONDET_DOMAIN)
-                else:
-                    pending.append(("step", 0))
-            pending.append(("pass", 0))
-            node.pending = pending
-        if node.idx >= len(node.pending):
-            stack.pop()
-            continue
-        action, value = node.pending[node.idx]
-        node.idx += 1
-        if action == "pass":
-            stack.append(_Node(node.state, node.pos + 1))
-        else:
-            tid = order[node.pos % len(order)]
-            child = node.state.clone()
-            interp.step(child, tid, value)
-            stack.append(_Node(child, node.pos))
+    def counters():
+        return {"traces": traces, "discarded": discarded, "transitions": transitions}
 
-    if not exhausted:
-        verdict = Verdict.UNKNOWN
-    elif compiled.uses_nondet and len(_NONDET_DOMAIN) < (1 << compiled.width):
+    try:
+        while stack:
+            transitions += 1
+            if budget is not None:
+                # One transition is this engine's unit of work.
+                budget.charge_conflicts(1, "engine")
+            if transitions & 0xFF == 0:
+                checkpoint("engine")
+            node = stack[-1]
+            if node.pending is None:
+                state = node.state
+                if state.infeasible:
+                    # A thread failed an assume / exceeded the unwind bound:
+                    # no completion of this path is a valid execution.
+                    discarded += 1
+                    stack.pop()
+                    continue
+                if interp.is_complete(state):
+                    traces += 1
+                    if state.violated:
+                        return VerificationResult(
+                            Verdict.UNSAFE, config.name, stats=counters()
+                        )
+                    stack.pop()
+                    continue
+                if node.pos >= max_pos:
+                    discarded += 1  # ran out of rounds
+                    stack.pop()
+                    continue
+                tid = order[node.pos % len(order)]
+                op = interp.front(state, tid)
+                pending: List[Tuple[str, int]] = []
+                if op is not None and interp._is_enabled(state, op):
+                    if op.kind == "nondet":
+                        pending.extend(("step", v) for v in _NONDET_DOMAIN)
+                    else:
+                        pending.append(("step", 0))
+                pending.append(("pass", 0))
+                node.pending = pending
+            if node.idx >= len(node.pending):
+                stack.pop()
+                continue
+            action, value = node.pending[node.idx]
+            node.idx += 1
+            if action == "pass":
+                stack.append(_Node(node.state, node.pos + 1))
+            else:
+                tid = order[node.pos % len(order)]
+                child = node.state.clone()
+                interp.step(child, tid, value)
+                stack.append(_Node(child, node.pos))
+    except BudgetExceeded as exc:
+        exc.partial_stats.update(counters())
+        raise
+
+    if compiled.uses_nondet and len(_NONDET_DOMAIN) < (1 << compiled.width):
         # Bounded nondet enumeration cannot prove safety.
         verdict = Verdict.UNKNOWN
     else:
         verdict = Verdict.SAFE
-    stats = {"traces": traces, "discarded": discarded, "transitions": transitions}
-    if limit_hit is not None:
-        stats["limit_hit"] = limit_hit
-    return VerificationResult(verdict, config.name, stats=stats)
+    return VerificationResult(verdict, config.name, stats=counters())

@@ -49,42 +49,15 @@ def _exit_code(verdict: str) -> int:
     return EXIT_UNKNOWN
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "analyze":
-        return _analyze(argv[1:])
-    if argv and argv[0] == "verify-py":
-        return _verify_py(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return _fuzz(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro-verify",
-        description="Verify a multi-threaded program under sequential "
-        "consistency (PLDI'21 ordering-consistency reproduction).",
-    )
-    parser.add_argument("file", help="program source file")
+def _verify_options() -> argparse.ArgumentParser:
+    """The options ``repro-verify`` and ``repro verify-py`` share, as an
+    argparse parent."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--engine",
         default="zord",
         choices=sorted(_PRESETS),
         help="verification engine preset (default: zord)",
-    )
-    parser.add_argument(
-        "--portfolio",
-        metavar="NAME,NAME,...",
-        help="race a comma-separated portfolio of engine presets; the "
-        "first conclusive verdict wins (overrides --engine)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for --portfolio (default: one per engine, "
-        "capped at the CPU count; 1 = serial)",
     )
     parser.add_argument("--unwind", type=int, default=8, help="loop bound")
     parser.add_argument(
@@ -120,8 +93,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="conflict/exploration budget (engine-specific analogue for "
-        "non-SMT engines); exhaustion yields UNKNOWN",
+        help="work budget: CDCL conflicts, or explored states / "
+        "transitions for the non-SMT engines; exhaustion yields UNKNOWN",
     )
     parser.add_argument(
         "--memory-limit-mb",
@@ -138,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=sorted(_PRESETS),
         help="preset to fall back to when the primary engine is "
         "inconclusive or crashes (repeatable; tried in order, sharing "
-        "one time budget)",
+        "one budget)",
     )
     parser.add_argument(
         "--prune",
@@ -159,27 +132,62 @@ def main(argv: Optional[List[str]] = None) -> int:
         "are identical, the encoding just keeps every RF/WS variable)",
     )
     parser.add_argument(
+        "--witness", action="store_true", help="print a counterexample trace"
+    )
+    parser.add_argument("--stats", action="store_true", help="print statistics")
+    parser.add_argument(
+        "--trace-jsonl",
+        metavar="FILE",
+        help="stream a JSONL telemetry event trace (portfolio runs write "
+        "one file per engine, suffixed with the preset name)",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "analyze":
+        return _analyze(argv[1:])
+    if argv and argv[0] == "verify-py":
+        return _verify_py(argv[1:])
+    if argv and argv[0] == "fuzz":
+        return _fuzz(argv[1:])
+    if argv and argv[0] == "serve":
+        return _serve(argv[1:])
+    parser = argparse.ArgumentParser(
+        prog="repro-verify",
+        description="Verify a multi-threaded program under sequential "
+        "consistency (PLDI'21 ordering-consistency reproduction).",
+        parents=[_verify_options()],
+    )
+    parser.add_argument("file", help="program source file")
+    parser.add_argument(
+        "--portfolio",
+        metavar="NAME,NAME,...",
+        help="race a comma-separated portfolio of engine presets; the "
+        "first conclusive verdict wins (overrides --engine)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=0,
+        metavar="N",
+        help="worker processes for --portfolio (default: one per engine, "
+        "capped at the CPU count; 1 = serial)",
+    )
+    parser.add_argument(
         "--share-clauses",
         action="store_true",
         help="with --portfolio: exchange short learned clauses between "
         "engines that solve the identical encoding (verdict-preserving)",
     )
     parser.add_argument(
-        "--witness", action="store_true", help="print a counterexample trace"
-    )
-    parser.add_argument("--stats", action="store_true", help="print statistics")
-    parser.add_argument(
         "--profile",
         metavar="FILE",
         help="profile the run with cProfile and write the dump to FILE "
         "(inspect with: python -m pstats FILE); the per-layer split "
         "(time_*_s) is printed by --stats",
-    )
-    parser.add_argument(
-        "--trace-jsonl",
-        metavar="FILE",
-        help="stream a JSONL telemetry event trace (portfolio runs write "
-        "one file per engine, suffixed with the preset name)",
     )
     parser.add_argument(
         "--dump-smt2",
@@ -262,7 +270,10 @@ def _config_kwargs(args) -> dict:
     )
 
 
-def _print_result_details(result, args) -> None:
+def _print_result_details(result, args, witness_lines=None) -> None:
+    """Print what ``args`` asks for beyond the verdict line.
+    ``witness_lines(witness)`` renders the witness as printable lines
+    (default: the trace itself)."""
     if result.diagnostic:
         print(f"  diagnostic: {result.diagnostic}")
     for attempt in result.attempts:
@@ -271,7 +282,11 @@ def _print_result_details(result, args) -> None:
             f"{attempt['status']} in {attempt['wall_time_s']:.3f}s"
         )
     if args.witness and result.witness is not None:
-        print(result.witness)
+        if witness_lines is None:
+            print(result.witness)
+        else:
+            for line in witness_lines(result.witness):
+                print(line)
     if args.witness and result.schedule:
         print("violating schedule:")
         for i, step in enumerate(result.schedule):
@@ -347,62 +362,9 @@ def _verify_py(argv: List[str]) -> int:
         "confirm UNSAFE verdicts two ways -- symbolic witness replay "
         "plus concrete execution of the original file under a "
         "randomized/witness-guided scheduler.",
+        parents=[_verify_options()],
     )
     parser.add_argument("file", help="Python source file")
-    parser.add_argument(
-        "--engine",
-        default="zord",
-        choices=sorted(_PRESETS),
-        help="verification engine preset (default: zord)",
-    )
-    parser.add_argument("--unwind", type=int, default=8, help="loop bound")
-    parser.add_argument(
-        "--unwind-max", type=int, default=None, metavar="N",
-        help="iterative-deepening BMC up to N (see repro-verify --help)",
-    )
-    parser.add_argument(
-        "--unwind-schedule", metavar="B1,B2,...", default=None,
-        help="explicit iterative-deepening bound schedule",
-    )
-    parser.add_argument("--width", type=int, default=8, help="integer bit-width")
-    parser.add_argument(
-        "--memory-model", default="sc", choices=("sc", "tso", "pso"),
-        help="memory consistency model (weak models: SMT engines only)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, help="time budget in seconds"
-    )
-    parser.add_argument(
-        "--max-conflicts", type=int, default=None, metavar="N",
-        help="conflict/exploration budget; exhaustion yields UNKNOWN",
-    )
-    parser.add_argument(
-        "--memory-limit-mb", type=float, default=None, metavar="MB",
-        help="resident-memory growth budget",
-    )
-    parser.add_argument(
-        "--fallback", action="append", default=None, metavar="PRESET",
-        choices=sorted(_PRESETS),
-        help="preset to fall back to when the primary is inconclusive",
-    )
-    parser.add_argument(
-        "--prune", dest="prune_level", action="store_const", const=2,
-        default=None, help="force encoding pruning at full level",
-    )
-    parser.add_argument(
-        "--no-prune", dest="prune_level", action="store_const", const=0,
-        help="disable encoding pruning",
-    )
-    parser.add_argument(
-        "--witness", action="store_true",
-        help="print the counterexample trace with Python file:line "
-        "source locations",
-    )
-    parser.add_argument("--stats", action="store_true", help="print statistics")
-    parser.add_argument(
-        "--trace-jsonl", metavar="FILE",
-        help="stream a JSONL telemetry event trace",
-    )
     parser.add_argument(
         "--no-confirm", action="store_true",
         help="skip the two-way UNSAFE confirmation (symbolic replay + "
@@ -439,24 +401,16 @@ def _verify_py(argv: List[str]) -> int:
     )
     result = verify(translation.program, config)
     print(f"verdict: {result.verdict.upper()}  ({result.wall_time_s:.3f}s)")
-    if result.diagnostic:
-        print(f"  diagnostic: {result.diagnostic}")
-    for attempt in result.attempts:
-        print(
-            f"  attempt {attempt['config_name']} ({attempt['engine']}): "
-            f"{attempt['status']} in {attempt['wall_time_s']:.3f}s"
-        )
     unwind = kwargs["unwind"]
-    if args.witness and result.witness is not None:
+
+    def python_lines(witness):
         from repro.pyfront.witness import witness_python_lines
 
-        for line in witness_python_lines(
-            translation, result.witness, unwind=unwind, width=args.width
-        ):
-            print(line)
-    if args.stats:
-        for key in sorted(result.stats):
-            print(f"  {key}: {result.stats[key]}")
+        return witness_python_lines(
+            translation, witness, unwind=unwind, width=args.width
+        )
+
+    _print_result_details(result, args, witness_lines=python_lines)
 
     if (
         result.verdict == Verdict.UNSAFE

@@ -4,8 +4,9 @@ The robustness layer makes budget exhaustion, hangs, and engine crashes
 *normal outcomes* of :func:`repro.verify.verify` instead of exceptions:
 
 * :mod:`repro.robustness.budget` -- a :class:`Budget` (wall-clock
-  deadline, conflict cap, peak-memory cap, event-count cap) created once
-  per run and cooperatively checked at checkpoints in every layer;
+  deadline, work cap, peak-memory cap, event-count cap) created once per
+  run, cooperatively checked at checkpoints in every layer, and the only
+  place those limits are enforced;
 * :mod:`repro.robustness.guard` -- crash containment turning engine
   exceptions into ``ERROR``-status results with captured diagnostics;
 * :mod:`repro.robustness.fallback` -- configurable fallback chains
@@ -27,7 +28,6 @@ from repro.robustness.budget import (
     Budget,
     BudgetExceeded,
     active_budget,
-    effective_time_limit,
     get_active,
 )
 from repro.robustness.faults import FaultInjected, fault_point
@@ -38,26 +38,25 @@ __all__ = [
     "FaultInjected",
     "active_budget",
     "checkpoint",
-    "effective_time_limit",
     "fault_point",
+    "get_active",
 ]
 
 
-def checkpoint(phase: str, conflicts: int = 0, events: int = 0) -> None:
+def checkpoint(phase: str, events: int = 0) -> None:
     """Cooperative robustness checkpoint for pipeline phase ``phase``.
 
     Fires any injected faults registered at ``phase``, then checks the
-    active budget's deadline and memory cap, charging ``conflicts`` /
-    ``events`` against their cumulative caps when given.  Raises
-    :class:`BudgetExceeded` (or a fault's effect) on violation; a no-op
-    when no faults and no budget are active.
+    active budget's deadline and memory cap, charging ``events`` against
+    the event cap when given.  Raises :class:`BudgetExceeded` (or a
+    fault's effect) on violation; a no-op when no faults and no budget
+    are active.  Units of search work are charged by the engines
+    themselves (:meth:`Budget.charge_conflicts`), one per unit.
     """
     fault_point(phase)
     budget = get_active()
     if budget is None:
         return
     budget.check(phase)
-    if conflicts:
-        budget.charge_conflicts(conflicts, phase)
     if events:
         budget.charge_events(events, phase)

@@ -1,17 +1,20 @@
 """Unified resource budgets for a verification run.
 
 A :class:`Budget` is created once per :func:`repro.verify.verify` call and
-cooperatively checked at checkpoints in every layer of the pipeline: the
-frontend (parse/unroll/SSA), the encoder, the T_ord theory solver (ICD and
-Tarjan detectors), the SAT core, and the baseline/SMC engines.  A budget
-bundles four independent limits:
+is the only place a configured limit is enforced: no engine reads the
+config's limits or holds a deadline or cap of its own.  Every layer of the
+pipeline checks it cooperatively -- the frontend (parse/unroll/SSA), the
+encoder, the T_ord theory solver (ICD and Tarjan detectors), the SAT core,
+and the baseline/SMC engines -- and every engine charges its unit of work
+to it.  A budget bundles four independent limits:
 
 * **wall-clock deadline** (``time_limit_s``) -- measured from budget
   creation, so fallback attempts share one deadline instead of each
   getting a fresh allowance;
-* **conflict cap** (``max_conflicts``) -- cumulative CDCL conflicts
-  charged by the SAT core (and the analogous exploration counters of the
-  explicit/sequentialized engines);
+* **work cap** (``max_conflicts``) -- cumulative units of search work:
+  CDCL conflicts charged by the SAT core, explored states by the
+  explicit-state engine, transitions by the sequentialized and stateless
+  engines;
 * **peak-memory cap** (``memory_limit_mb``) -- resident-set growth since
   budget creation, sampled from ``/proc/self/statm`` where available and
   falling back to ``resource.getrusage`` high-water marks;
@@ -44,7 +47,6 @@ __all__ = [
     "set_active",
     "clear_active",
     "active_budget",
-    "effective_time_limit",
 ]
 
 
@@ -111,6 +113,7 @@ class Budget:
         "memory_limit_mb",
         "max_events",
         "started_at",
+        "deadline",
         "conflicts",
         "events",
         "_rss0_mb",
@@ -128,6 +131,10 @@ class Budget:
         self.memory_limit_mb = memory_limit_mb
         self.max_events = max_events
         self.started_at = time.monotonic()
+        #: Absolute ``time.monotonic()`` deadline (None = unbounded).
+        self.deadline = (
+            None if time_limit_s is None else self.started_at + time_limit_s
+        )
         self.conflicts = 0
         self.events = 0
         self._rss0_mb = _rss_mb() if memory_limit_mb is not None else None
@@ -149,12 +156,6 @@ class Budget:
     def elapsed_s(self) -> float:
         return time.monotonic() - self.started_at
 
-    def remaining_s(self) -> Optional[float]:
-        """Seconds left on the deadline (None = unbounded, >= 0)."""
-        if self.time_limit_s is None:
-            return None
-        return max(0.0, self.time_limit_s - self.elapsed_s())
-
     def memory_used_mb(self) -> Optional[float]:
         """RSS growth (MB) since the budget was created."""
         if self._rss0_mb is None:
@@ -168,25 +169,36 @@ class Budget:
     # Checks
     # ------------------------------------------------------------------
 
+    def check_deadline(self, phase: str) -> None:
+        """Raise :class:`BudgetExceeded` when the deadline has passed."""
+        if self.deadline is not None:
+            now = time.monotonic()
+            if now > self.deadline:
+                raise BudgetExceeded(
+                    "time", phase, now - self.started_at, self.time_limit_s
+                )
+
     def check(self, phase: str) -> None:
         """Raise :class:`BudgetExceeded` when the deadline or the memory
         cap is exceeded.  Cheap enough for throttled hot-loop use."""
-        if self.time_limit_s is not None:
-            elapsed = time.monotonic() - self.started_at
-            if elapsed > self.time_limit_s:
-                raise BudgetExceeded("time", phase, elapsed, self.time_limit_s)
+        self.check_deadline(phase)
         if self.memory_limit_mb is not None:
             used = self.memory_used_mb()
             if used is not None and used > self.memory_limit_mb:
                 raise BudgetExceeded("memory", phase, used, self.memory_limit_mb)
 
     def charge_conflicts(self, n: int, phase: str) -> None:
-        """Accumulate ``n`` conflicts; raise when over the cumulative cap."""
+        """Accumulate ``n`` units of work (conflicts, states or
+        transitions); raise when over the cumulative cap or past the
+        deadline.  Engines call it once per unit, so a cap of N trips on
+        unit N+1 and a deadline is noticed after at most one unit."""
         self.conflicts += n
         if self.max_conflicts is not None and self.conflicts > self.max_conflicts:
             raise BudgetExceeded(
                 "conflicts", phase, self.conflicts, self.max_conflicts
             )
+        if self.deadline is not None:
+            self.check_deadline(phase)
 
     def charge_events(self, n: int, phase: str) -> None:
         """Accumulate ``n`` event-graph nodes; raise when over the cap."""
@@ -241,15 +253,3 @@ class active_budget:
     def __exit__(self, *exc) -> None:
         set_active(self._prev)
 
-
-def effective_time_limit(config_limit_s: Optional[float]) -> Optional[float]:
-    """The tighter of the engine's own ``time_limit_s`` and the active
-    budget's remaining deadline.  Engines use this so fallback attempts
-    share one wall clock instead of restarting it."""
-    budget = get_active()
-    remaining = budget.remaining_s() if budget is not None else None
-    if remaining is None:
-        return config_limit_s
-    if config_limit_s is None:
-        return remaining
-    return min(config_limit_s, remaining)

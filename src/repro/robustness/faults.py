@@ -24,16 +24,18 @@ Spec syntax -- a comma-separated list of ``action@checkpoint[:arg]``::
     REPRO_FAULTS="torn@cache_write"        # write half a journal record
     REPRO_FAULTS="crash@cache_compact"     # die between snapshot and rotate
 
-Checkpoint names in the shipped pipeline: ``frontend``, ``encode``,
-``theory``, ``solve``, ``engine``, ``explore``, ``portfolio_worker``.
-The verification service adds its own daemon-side checkpoints:
-``service_worker`` (a pool worker, right after picking a job up),
-``service_response`` (the server, right before writing a response line),
-``cache_write`` (the persistent verdict cache, before appending a journal
-record) and ``cache_compact`` (between writing the compaction snapshot
-and rotating the journal).  Faults fire on *every* hit of their
-checkpoint (checkpoints in hot loops are throttled by the caller), so
-behaviour is reproducible run-to-run.
+Checkpoint names in the shipped pipeline (:data:`CHECKPOINTS`):
+``frontend``, ``analysis``, ``encode``, ``theory``, ``solve``, ``engine``,
+``explore``, ``portfolio_worker``.  The verification service adds its own
+daemon-side checkpoints: ``service_worker`` (a pool worker, right after
+picking a job up), ``service_response`` (the server, right before writing
+a response line), ``cache_write`` (the persistent verdict cache, before
+appending a journal record) and ``cache_compact`` (between writing the
+compaction snapshot and rotating the journal).  A spec naming any other
+checkpoint is rejected, so a misspelt name fails loudly instead of
+injecting nothing.  Faults fire on *every* hit of their checkpoint
+(checkpoints in hot loops are throttled by the caller), so behaviour is
+reproducible run-to-run.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
+    "CHECKPOINTS",
     "ENV_VAR",
     "FaultInjected",
     "DropConnection",
@@ -70,6 +73,23 @@ _ACTIONS = (
     "ignoreterm",
     "drop",
     "torn",
+)
+
+#: Every checkpoint name the source passes to ``checkpoint()`` /
+#: ``fault_point()`` (validated by :func:`parse_faults`).
+CHECKPOINTS = (
+    "frontend",
+    "analysis",
+    "encode",
+    "theory",
+    "solve",
+    "engine",
+    "explore",
+    "portfolio_worker",
+    "service_worker",
+    "service_response",
+    "cache_write",
+    "cache_compact",
 )
 
 
@@ -105,7 +125,8 @@ _ballast: List[bytearray] = []
 def parse_faults(spec: str) -> Dict[str, List[Tuple[str, Optional[str]]]]:
     """Parse a fault spec into ``{checkpoint: [(action, arg), ...]}``.
 
-    Raises :class:`ValueError` on malformed entries or unknown actions.
+    Raises :class:`ValueError` on malformed entries, unknown actions or
+    unknown checkpoints.
     """
     table: Dict[str, List[Tuple[str, Optional[str]]]] = {}
     for entry in spec.split(","):
@@ -126,6 +147,11 @@ def parse_faults(spec: str) -> Dict[str, List[Tuple[str, Optional[str]]]]:
             )
         if not checkpoint:
             raise ValueError(f"malformed fault {entry!r}: empty checkpoint")
+        if checkpoint not in CHECKPOINTS:
+            raise ValueError(
+                f"unknown fault checkpoint {checkpoint!r} in {entry!r}; "
+                f"known: {', '.join(CHECKPOINTS)}"
+            )
         table.setdefault(checkpoint, []).append((action, arg or None))
     return table
 
@@ -158,17 +184,15 @@ def active_spec() -> Optional[str]:
 
 def fault_point(checkpoint: str) -> None:
     """Fire any faults registered for ``checkpoint``.  No-op (one dict
-    lookup) when no spec is active."""
+    lookup) when no spec is active.  A malformed ``REPRO_FAULTS`` spec
+    raises :class:`ValueError` here (inside an engine, the crash guard
+    turns it into an ``ERROR`` result carrying the message)."""
     spec = _installed if _installed is not None else os.environ.get(ENV_VAR)
     if not spec:
         return
     table = _cache.get(spec)
     if table is None:
-        try:
-            table = parse_faults(spec)
-        except ValueError:
-            table = {}
-        _cache[spec] = table
+        table = _cache[spec] = parse_faults(spec)
     actions = table.get(checkpoint)
     if not actions:
         return

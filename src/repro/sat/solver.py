@@ -54,11 +54,11 @@ _Conflict = Union[int, List[int]]
 
 
 class SolveResult:
-    """Tri-valued result of :meth:`Solver.solve`."""
+    """Result of :meth:`Solver.solve` (an exhausted run budget raises
+    :class:`~repro.robustness.budget.BudgetExceeded` instead)."""
 
     SAT = "sat"
     UNSAT = "unsat"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -313,13 +313,14 @@ class Solver:
     # Public solving API
     # ------------------------------------------------------------------
 
-    def solve(
-        self,
-        max_conflicts: Optional[int] = None,
-        time_limit_s: Optional[float] = None,
-        assumptions: Optional[Sequence[int]] = None,
-    ) -> str:
+    def solve(self, assumptions: Optional[Sequence[int]] = None) -> str:
         """Run CDCL search.  Returns a :class:`SolveResult` constant.
+
+        The search has no limits of its own: it charges every conflict to
+        the thread's active :class:`~repro.robustness.budget.Budget` and
+        checks its deadline, so an exhausted budget raises
+        :class:`~repro.robustness.budget.BudgetExceeded` (carrying the
+        partial :class:`SolverStats`) with the solver intact.
 
         ``assumptions`` are literals decided (in order) before any free
         decision, MiniSat-style.  An UNSAT answer caused by the assumptions
@@ -349,13 +350,10 @@ class Solver:
                 call=self.stats.incremental_calls,
             )
         try:
-            result = self._solve(max_conflicts, time_limit_s)
-            # Publish leftover exports: a run that finished before its
-            # first restart has never flushed, and its learned clauses are
-            # still valuable to portfolio siblings racing the same CNF.
+            result = self._solve()
+        except BudgetExceeded as exc:
             if self.share is not None:
                 self.share.flush()
-        except BudgetExceeded as exc:
             # Attach the partial counters so the budget-exhausted UNKNOWN
             # still reports how far the search got.
             self._sync_stats()
@@ -365,6 +363,11 @@ class Solver:
                     "solve_end", result="budget_exceeded", **self.stats.as_dict()
                 )
             raise
+        # Publish leftover exports: a run that finished before its first
+        # restart has never flushed, and its learned clauses are still
+        # valuable to portfolio siblings racing the same CNF.
+        if self.share is not None:
+            self.share.flush()
         self._sync_stats()
         if (
             self.audit
@@ -418,14 +421,9 @@ class Solver:
             self.unsat_core = core
             self._assumps = assumps
 
-    def _solve(
-        self,
-        max_conflicts: Optional[int],
-        time_limit_s: Optional[float],
-    ) -> str:
+    def _solve(self) -> str:
         if self._unsat:
             return SolveResult.UNSAT
-        start = time.monotonic()
         restart_idx = 1
         restart_base = 100
         conflicts_total = 0
@@ -439,10 +437,7 @@ class Solver:
             # solver is at decision level 0, so imports are plain clauses.
             if not self._exchange_shared():
                 return SolveResult.UNSAT
-            budget = restart_base * luby(restart_idx)
-            status, used = self._search(
-                budget, start, time_limit_s, max_conflicts, conflicts_total, max_learned
-            )
+            status, used = self._search(restart_base * luby(restart_idx))
             conflicts_total += used
             if status is not None:
                 return status
@@ -479,24 +474,22 @@ class Solver:
     # Core search
     # ------------------------------------------------------------------
 
-    def _search(
-        self,
-        budget: int,
-        start: float,
-        time_limit_s: Optional[float],
-        max_conflicts: Optional[int],
-        conflicts_before: int,
-        max_learned: int,
-    ):
-        """One restart period.  Returns (status-or-None, conflicts used)."""
+    def _search(self, period: int):
+        """One restart period of ``period`` conflicts.  Returns
+        (status-or-None, conflicts used)."""
         conflicts = 0
         run_budget = _active_budget()
+        # The deadline is also checked before every decision, so a search
+        # that rarely conflicts still stops on time.
+        timed = run_budget is not None and run_budget.deadline is not None
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 conflicts += 1
                 self.stats.conflicts += 1
                 if run_budget is not None:
+                    # Charged before analysis: a stopped search has learned
+                    # exactly the clauses of the conflicts within the cap.
                     run_budget.charge_conflicts(1, "solve")
                     if conflicts & 0xFF == 0:
                         run_budget.check("solve")
@@ -507,22 +500,12 @@ class Solver:
                 self._record_learnt(learnt)
                 self._flush_pending_lemmas()
                 self._decay_activities()
-                if max_conflicts is not None and (
-                    conflicts_before + conflicts >= max_conflicts
-                ):
-                    return SolveResult.UNKNOWN, conflicts
-                if time_limit_s is not None and (
-                    time.monotonic() - start > time_limit_s
-                ):
-                    return SolveResult.UNKNOWN, conflicts
-                if conflicts >= budget:
+                if conflicts >= period:
                     self._backjump(0)
                     return None, conflicts
             else:
-                if time_limit_s is not None and (
-                    time.monotonic() - start > time_limit_s
-                ):
-                    return SolveResult.UNKNOWN, conflicts
+                if timed:
+                    run_budget.check_deadline("solve")
                 # Assumptions are the first decisions (MiniSat-style).  An
                 # already-true assumption gets an empty decision level so
                 # level k always corresponds to assumption k; a false one

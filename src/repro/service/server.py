@@ -417,8 +417,12 @@ class ServiceServer:
                 req.get("id"), f"internal error: {type(exc).__name__}: {exc}"
             )
         # Chaos hook: delay@service_response slows every answer,
-        # drop@service_response propagates to the transport.
-        fault_point("service_response")
+        # drop@service_response propagates to the transport.  A malformed
+        # fault spec is answered with its message, never with no line.
+        try:
+            fault_point("service_response")
+        except ValueError as exc:
+            response = protocol.error_response(req.get("id"), str(exc))
         return protocol.encode(response)
 
     async def handle_request(self, req: Dict[str, Any]) -> Dict[str, Any]:

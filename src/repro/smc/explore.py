@@ -32,11 +32,10 @@ reported as Table 3's "Traces" column.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.robustness import checkpoint
+from repro.robustness import BudgetExceeded, checkpoint, get_active
 from repro.smc.compile import CompiledProgram
 from repro.smc.interpreter import ExecState, Interpreter, VisibleOp
 
@@ -108,7 +107,6 @@ class Explorer:
         nondet_domain: Sequence[int] = (0, 1),
         max_traces: Optional[int] = None,
         max_transitions: Optional[int] = None,
-        time_limit_s: Optional[float] = None,
         stop_at_first_violation: bool = True,
     ) -> None:
         if mode not in ("naive", "dpor"):
@@ -118,7 +116,6 @@ class Explorer:
         self.nondet_domain = tuple(nondet_domain)
         self.max_traces = max_traces
         self.max_transitions = max_transitions
-        self.time_limit_s = time_limit_s
         self.stop_at_first_violation = stop_at_first_violation
         #: rf signatures of the complete traces of the last run()
         #: (inspected by the DPOR completeness tests).
@@ -127,10 +124,21 @@ class Explorer:
     # ------------------------------------------------------------------
 
     def run(self) -> ExploreOutcome:
+        """Explore; an exhausted run budget raises
+        :class:`~repro.robustness.budget.BudgetExceeded` carrying the
+        outcome's counters so far."""
         out = ExploreOutcome(verdict="safe")
         rf_signatures: Set[Tuple] = set()
         self.last_signatures = rf_signatures
-        start = time.monotonic()
+        try:
+            return self._run(out, rf_signatures)
+        except BudgetExceeded as exc:
+            out.rf_classes = len(rf_signatures)
+            exc.partial_stats.update(out.as_stats())
+            raise
+
+    def _run(self, out: ExploreOutcome, rf_signatures: Set[Tuple]) -> ExploreOutcome:
+        budget = get_active()
         init = self.interp.initial_state()
         stack: List[_Frame] = [_Frame(init, {})]
         exhausted = True
@@ -140,7 +148,7 @@ class Explorer:
             iterations += 1
             if iterations & 0xFF == 0:
                 checkpoint("explore")
-            if self._over_budget(out, start):
+            if self._at_bound(out):
                 exhausted = False
                 break
             frame = stack[-1]
@@ -178,6 +186,9 @@ class Explorer:
             self.interp.step(child_state, op.tid, val if val is not None else 0)
             frame.taken_cv = child_state.clocks.get(op.tid, {})
             out.transitions += 1
+            if budget is not None:
+                # One transition is this engine's unit of work.
+                budget.charge_conflicts(1, "explore")
             stack.append(_Frame(child_state, self._child_sleep(frame, op)))
 
         out.rf_classes = len(rf_signatures)
@@ -308,19 +319,15 @@ class Explorer:
 
     # ------------------------------------------------------------------
 
-    def _over_budget(self, out: ExploreOutcome, start: float) -> bool:
+    def _at_bound(self, out: ExploreOutcome) -> bool:
+        """The enumeration bounds (``max_traces`` / ``max_transitions``)
+        reached: the outcome is ``"unknown"``."""
         if self.max_traces is not None and out.traces >= self.max_traces:
             return True
-        if (
+        return (
             self.max_transitions is not None
             and out.transitions >= self.max_transitions
-        ):
-            return True
-        if self.time_limit_s is not None and (
-            time.monotonic() - start > self.time_limit_s
-        ):
-            return True
-        return False
+        )
 
     def _nondet_incomplete(self) -> bool:
         prog = self.interp.prog

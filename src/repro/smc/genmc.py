@@ -10,7 +10,7 @@ measures, and it is the quantity GenMC's exploration is proportional to.
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.robustness import checkpoint, effective_time_limit
+from repro.robustness import checkpoint
 from repro.smc.compile import compile_program
 from repro.smc.explore import Explorer
 from repro.verify.result import Verdict, VerificationResult
@@ -21,13 +21,7 @@ __all__ = ["verify_genmc"]
 def verify_genmc(program: ast.Program, config) -> VerificationResult:
     checkpoint("engine")
     compiled = compile_program(program, width=config.width, unwind=config.unwind)
-    explorer = Explorer(
-        compiled,
-        mode="dpor",
-        time_limit_s=effective_time_limit(config.time_limit_s),
-        max_transitions=config.max_conflicts,
-    )
-    outcome = explorer.run()
+    outcome = Explorer(compiled, mode="dpor").run()
     verdict = {
         "safe": Verdict.SAFE,
         "unsafe": Verdict.UNSAFE,

@@ -12,7 +12,7 @@ Table 3 comparison exercises.
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.robustness import checkpoint, effective_time_limit
+from repro.robustness import checkpoint
 from repro.smc.compile import compile_program
 from repro.smc.explore import Explorer
 from repro.verify.result import Verdict, VerificationResult
@@ -23,13 +23,7 @@ __all__ = ["verify_rfsc"]
 def verify_rfsc(program: ast.Program, config) -> VerificationResult:
     checkpoint("engine")
     compiled = compile_program(program, width=config.width, unwind=config.unwind)
-    explorer = Explorer(
-        compiled,
-        mode="dpor",
-        time_limit_s=effective_time_limit(config.time_limit_s),
-        max_transitions=config.max_conflicts,  # reuse the generic budget knob
-    )
-    outcome = explorer.run()
+    outcome = Explorer(compiled, mode="dpor").run()
     verdict = {
         "safe": Verdict.SAFE,
         "unsafe": Verdict.UNSAFE,

@@ -61,12 +61,13 @@ class VerifierConfig:
             ``"pso"`` (the weak-memory extension; SMT engines only).
         rounds: round-robin rounds for the lazyseq engine.
         max_conflict_clauses: cap per theory conflict.
-        time_limit_s: wall-clock budget; exceeded -> UNKNOWN.  Honored by
-            every engine (the deadline covers frontend, encoding, theory
-            and solve phases, not just the SAT core).
-        max_conflicts: conflict budget for the SAT core (reused as the
-            exploration budget by the explicit/sequentialized/stateless
-            engines); exceeded -> UNKNOWN.
+        time_limit_s: wall-clock budget; exceeded -> UNKNOWN.  Like every
+            limit below, enforced only by the run's
+            :class:`~repro.robustness.budget.Budget` (the deadline covers
+            frontend, encoding, theory and solve phases).
+        max_conflicts: work budget: cumulative SAT conflicts, explored
+            states (explicit engine) or transitions (sequentialized and
+            stateless engines); a cap of N trips on unit N+1 -> UNKNOWN.
         memory_limit_mb: cap on resident-set growth during the run;
             exceeded -> UNKNOWN (see :mod:`repro.robustness.budget`).
         max_events: cap on the event-graph size the frontend may produce;

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from repro.frontend import build_symbolic_program
 from repro.lang import ast, parse
-from repro.robustness import active_budget, checkpoint, effective_time_limit
+from repro.robustness import active_budget, checkpoint
 from repro.oracle.audit import enable_audit
 from repro.robustness.budget import Budget, BudgetExceeded
 from repro.robustness.fallback import Attempt, resolve_chain
@@ -50,7 +50,6 @@ _CONCLUSIVE = (Verdict.SAFE, Verdict.UNSAFE)
 _VERDICT = {
     SolveResult.SAT: Verdict.UNSAFE,
     SolveResult.UNSAT: Verdict.SAFE,
-    SolveResult.UNKNOWN: Verdict.UNKNOWN,
 }
 
 
@@ -228,10 +227,7 @@ def run_smt_engine(
                 answer, bound_stats = _solve_schedule(encoded, config, telemetry)
             else:
                 bound_stats = None
-                answer = solver.solve(
-                    max_conflicts=config.max_conflicts,
-                    time_limit_s=effective_time_limit(config.time_limit_s),
-                )
+                answer = solver.solve()
         witness = None
         if answer == SolveResult.SAT:
             with spans.span("witness"):
@@ -293,22 +289,8 @@ def _solve_schedule(encoded, config, telemetry):
             # bound imposes no restriction, so only the deepest solve
             # matters.
             continue
-        remaining_conflicts = None
-        if config.max_conflicts is not None:
-            spent = solver.stats.conflicts - conflicts_base
-            remaining_conflicts = config.max_conflicts - spent
-            if remaining_conflicts <= 0:
-                answer = SolveResult.UNKNOWN
-                break
-        remaining_time = config.time_limit_s
-        if remaining_time is not None:
-            remaining_time = max(0.0, remaining_time - (time.monotonic() - start))
         t_bound = time.monotonic()
-        answer = solver.solve(
-            max_conflicts=remaining_conflicts,
-            time_limit_s=effective_time_limit(remaining_time),
-            assumptions=[u] if u is not None else [],
-        )
+        answer = solver.solve(assumptions=[u] if u is not None else [])
         entry = {
             "bound": bound,
             "answer": answer,

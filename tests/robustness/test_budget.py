@@ -3,6 +3,7 @@ every preset must degrade to a structured UNKNOWN (never an exception,
 never a wrong verdict) under a tiny time or conflict budget."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +11,26 @@ from repro.robustness.budget import (
     Budget,
     BudgetExceeded,
     active_budget,
-    effective_time_limit,
     get_active,
 )
 from repro.verify import Verdict, verify
 from repro.verify.config import PRESETS
 from repro.verify.telemetry import STAT_KEYS
 from tests.verify.programs import PAPER_FIG2
+
+COUNTER_SAFE = (
+    Path(__file__).resolve().parents[2] / "examples" / "programs" / "counter_safe.c"
+).read_text()
+
+#: The counter each engine charges to the work cap, one unit per charge.
+WORK_COUNTER = {
+    "smt": "conflicts",
+    "closure": "conflicts",
+    "explicit": "explored",
+    "lazyseq": "transitions",
+    "smc-rfsc": "transitions",
+    "smc-genmc": "transitions",
+}
 
 
 class TestBudgetUnit:
@@ -87,13 +101,12 @@ class TestBudgetUnit:
             assert get_active() is outer
         assert get_active() is None
 
-    def test_effective_time_limit_takes_min(self):
-        b = Budget(time_limit_s=100.0)
-        with active_budget(b):
-            assert effective_time_limit(5.0) == 5.0
-            assert effective_time_limit(None) == pytest.approx(100.0, abs=1.0)
-            assert effective_time_limit(1000.0) <= 100.0
-        assert effective_time_limit(5.0) == 5.0  # no active budget
+    def test_charge_checks_the_deadline(self):
+        b = Budget(time_limit_s=0.0)
+        time.sleep(0.001)
+        with pytest.raises(BudgetExceeded) as ei:
+            b.charge_conflicts(1, "engine")
+        assert ei.value.limit == "time"
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -143,5 +156,28 @@ def test_memory_budget_smt():
 
 def test_budget_unknown_carries_partial_solver_stats():
     result = verify(PAPER_FIG2, PRESETS["zord"](max_conflicts=1))
-    # The SAT core returns UNKNOWN at its own cap with its stats intact.
+    # The SAT core attaches its counters to the budget exception.
     assert result.stats["conflicts"] >= 1
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+class TestBudgetIsTheOnlyEnforcer:
+    """No engine holds a limit of its own: every preset's budget UNKNOWN is
+    the structured one, with the engine's partial counter attached."""
+
+    def test_work_cap_reports_conflicts_limit(self, preset):
+        config = PRESETS[preset](max_conflicts=1)
+        result = verify(COUNTER_SAFE, config)
+        assert result.verdict == Verdict.UNKNOWN
+        assert result.stats["budget_limit"] == "conflicts"
+        assert result.stats["budget_phase"]
+        # A cap of 1 trips on the second unit; the engine reports how far
+        # it got in its own counter.
+        assert result.stats["budget_used"] == 2
+        assert result.stats[WORK_COUNTER[config.engine]] == 2
+
+    def test_deadline_reports_time_limit(self, preset):
+        result = verify(COUNTER_SAFE, PRESETS[preset](time_limit_s=1e-9))
+        assert result.verdict == Verdict.UNKNOWN
+        assert result.stats["budget_limit"] == "time"
+        assert result.stats["budget_phase"]

@@ -1,10 +1,14 @@
 """Fault-injection harness tests: spec parsing, checkpoint firing, and
 end-to-end containment of injected faults in every engine."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.robustness import checkpoint
 from repro.robustness.faults import (
+    CHECKPOINTS,
     ENV_VAR,
     FaultInjected,
     active_spec,
@@ -46,6 +50,24 @@ class TestParse:
     def test_empty_checkpoint_rejected(self):
         with pytest.raises(ValueError, match="empty checkpoint"):
             parse_faults("crash@")
+
+    def test_unknown_checkpoint_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault checkpoint 'encodee'"):
+            parse_faults("crash@encodee")
+
+    def test_checkpoints_match_the_source(self):
+        """The known names are exactly those the source passes to
+        ``checkpoint()`` / ``fault_point()``, so the two cannot drift."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        used = set()
+        for path in src.rglob("*.py"):
+            used.update(
+                re.findall(
+                    r'(?:checkpoint|fault_point)\(\s*"(\w+)"', path.read_text()
+                )
+            )
+        assert len(CHECKPOINTS) == len(set(CHECKPOINTS))
+        assert set(CHECKPOINTS) == used
 
     def test_install_validates_eagerly(self):
         with pytest.raises(ValueError):
@@ -90,6 +112,24 @@ class TestFirePoint:
         monkeypatch.setenv(ENV_VAR, "crash@theory")
         with pytest.raises(FaultInjected):
             fault_point("theory")
+
+    def test_misspelt_env_spec_fails_loudly(self, monkeypatch):
+        """A typo in ``REPRO_FAULTS`` is an ERROR carrying the message, not
+        a silent run without the fault."""
+        monkeypatch.setenv(ENV_VAR, "crash@encodee")
+        result = verify(PAPER_FIG2, PRESETS["zord"]())
+        assert result.verdict == Verdict.ERROR
+        assert "unknown fault checkpoint 'encodee'" in result.diagnostic
+
+    def test_misspelt_env_spec_cli_exits_1(self, monkeypatch, tmp_path, capsys):
+        from repro.cli import main
+
+        program = tmp_path / "fig2.c"
+        program.write_text(PAPER_FIG2)
+        monkeypatch.setenv(ENV_VAR, "crash@encodee")
+        assert main([str(program)]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: ERROR" in out and "encodee" in out
 
     def test_checkpoint_fires_faults(self):
         install_faults("crash@frontend")

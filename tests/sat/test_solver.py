@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.robustness.budget import Budget, BudgetExceeded, active_budget
 from repro.sat import SolveResult, Solver
 from repro.sat.solver import luby
 
@@ -124,7 +125,8 @@ class TestBasics:
         assert s.solve() == SolveResult.UNSAT
 
     def test_conflict_budget_returns_unknown(self):
-        # PHP(6,5) cannot be refuted within 1 conflict.
+        # PHP(6,5) cannot be refuted within 1 conflict: the run budget
+        # stops the search, the solver has no cap of its own.
         s = Solver()
         n, m = 6, 5
         p = {(i, j): s.new_var() for i in range(n) for j in range(m)}
@@ -134,7 +136,11 @@ class TestBasics:
             for i1 in range(n):
                 for i2 in range(i1 + 1, n):
                     s.add_clause([-p[(i1, j)], -p[(i2, j)]])
-        assert s.solve(max_conflicts=1) == SolveResult.UNKNOWN
+        with active_budget(Budget(max_conflicts=1)):
+            with pytest.raises(BudgetExceeded) as ei:
+                s.solve()
+        assert ei.value.limit == "conflicts"
+        assert ei.value.partial_stats["conflicts"] == 2
 
     def test_stats_counters_move(self):
         s, res = solve_clauses(4, [[1, 2], [-1, 3], [-3, -2, 4], [-4, 1]])

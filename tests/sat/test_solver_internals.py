@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.robustness.budget import Budget, BudgetExceeded, active_budget
 from repro.sat import SolveResult, Solver, Theory, TheoryResult
 from repro.sat.solver import luby
 
@@ -64,9 +65,11 @@ class TestSearchMachinery:
             for i1 in range(n):
                 for i2 in range(i1 + 1, n):
                     s.add_clause([-p[(i1, j)], -p[(i2, j)]])
-        assert s.solve(max_conflicts=30000) in (
-            SolveResult.UNSAT, SolveResult.UNKNOWN,
-        )
+        try:
+            with active_budget(Budget(max_conflicts=30000)):
+                assert s.solve() == SolveResult.UNSAT
+        except BudgetExceeded:
+            pass  # stopped mid-search: the counters still moved
         assert s.stats.conflicts > 0
 
 
@@ -110,7 +113,9 @@ class TestReduceDB:
         """A solver stopped mid-search with a sizeable learned DB."""
         s = Solver()
         _php_clauses(s, 8, 7)
-        assert s.solve(max_conflicts=400) == SolveResult.UNKNOWN
+        with active_budget(Budget(max_conflicts=400)):
+            with pytest.raises(BudgetExceeded):
+                s.solve()
         assert len(s._learned_refs) > 10
         return s
 

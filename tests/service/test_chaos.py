@@ -171,6 +171,21 @@ class TestResponseFaults:
             clear_faults()
             server.close()
 
+    def test_misspelt_env_spec_still_answers(self, monkeypatch):
+        """A malformed ``REPRO_FAULTS`` fails loudly without costing the
+        server its response line."""
+        server = ServiceServer(workers=1)
+        try:
+            monkeypatch.setenv("REPRO_FAULTS", "delay@service_respons")
+            line = asyncio.run(
+                server.handle_line(json.dumps({"id": 1, "op": "ping"}))
+            )
+            response = json.loads(line)
+            assert response["id"] == 1 and not response["ok"]
+            assert "service_respons" in response["error"]
+        finally:
+            server.close()
+
     @pytest.mark.slow
     def test_dropped_connections_never_hang_the_client(self):
         """A daemon dropping every response: the client's bounded retries

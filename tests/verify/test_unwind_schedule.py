@@ -116,5 +116,9 @@ def test_non_smt_engine_ignores_schedule():
 
 
 def test_schedule_with_conflict_budget_returns_unknown():
-    result = verify(DEEP_LOOP_SAFE, _cfg((1, 2, 4, 8), max_conflicts=0))
+    # The cap is the run budget's, cumulative over the bounds: SHALLOW_BUG
+    # needs conflicts (DEEP_LOOP_SAFE is refuted without one, so no cap
+    # can stop it).
+    result = verify(SHALLOW_BUG, _cfg((1, 2, 4, 8), max_conflicts=0))
     assert result.verdict == Verdict.UNKNOWN
+    assert result.stats["budget_limit"] == "conflicts"
