@@ -41,6 +41,7 @@ class IdlTheory(Theory):
         self.stats = TheoryStats()
         self._edge_of_var: Dict[int, Edge] = {}
         self._trail: List[Tuple[Edge, int]] = []
+        self._po_edges = list(po_edges)
         for a, b in po_edges:
             result = self.detector.add_edge(Edge(a, b, EdgeKind.PO))
             if result.cycle:
@@ -91,6 +92,8 @@ class IdlTheory(Theory):
         self.stats.edges_activated += 1
         self._trail.append((edge, level))
         return result
+
+    proof_data = OrderingTheory.proof_data
 
     def backjump(self, level: int) -> None:
         trail = self._trail

@@ -320,8 +320,7 @@ def encode_program(
         solver.add_clause(clause)
 
     enc.stats.sat_vars = solver.nvars
-    # The frozen reference core (a differential oracle) has no counter.
-    enc.stats.sat_clauses = getattr(solver, "num_clauses", 0)
+    enc.stats.sat_clauses = solver.num_clauses
     return enc
 
 

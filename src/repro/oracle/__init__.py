@@ -13,7 +13,9 @@ Three complementary oracles over the whole engine matrix:
   behind an agreeing-but-wrong sibling;
 * **invariant auditing** -- ``REPRO_AUDIT=1`` /
   ``VerifierConfig(audit=True)`` arms per-step internal checks in the SAT
-  core and the T_ord theory solver (:mod:`repro.oracle.audit`).
+  core and the T_ord theory solver (:mod:`repro.oracle.audit`), and an
+  independent proof checker that certifies every UNSAT and checks every
+  model (:mod:`repro.oracle.certify`).
 
 Failing programs are minimized by a delta-debugging shrinker
 (:mod:`repro.oracle.shrinker`).  The CLI front end is ``repro fuzz``.
@@ -24,6 +26,6 @@ and must not drag the generator/harness stack (and with it the whole
 verify layer) into every solver construction.
 """
 
-from repro.oracle.audit import AuditError, audit_enabled, enable_audit
+from repro.oracle.audit import AuditError, audit_enabled, audit_scope
 
-__all__ = ["AuditError", "audit_enabled", "enable_audit"]
+__all__ = ["AuditError", "audit_enabled", "audit_scope"]

@@ -26,15 +26,20 @@ those invariants into hard checks:
   unit-edge propagation names active edges that, with the unit edge,
   close a real cycle through the inserted edge -- every from-read edge on
   it justified by its Axiom 2 premises inside the reason;
-* **unsat cores** (checked inside :class:`repro.sat.solver.Solver`):
-  every reported core re-solves UNSAT in isolation.
+* **answers** (:mod:`repro.oracle.certify`): the SAT core logs every
+  clause its search relies on, and an independent proof checker accepts
+  learned clauses by reverse unit propagation and theory lemmas as real
+  cycles, certifies every UNSAT by RUP of its negated unsat core, and
+  checks every SAT model against the input clauses and the ordering
+  axioms.
 
 Auditing is opt-in: set ``REPRO_AUDIT=1`` in the environment (picked up
 by every :class:`~repro.sat.solver.Solver` /
 :class:`~repro.ordering.solver.OrderingTheory` at construction) or pass
-``VerifierConfig(audit=True)``.  A verification applies its config's
-resolved ``audit`` both ways, so ``VerifierConfig(audit=False)`` runs
-unaudited under ``REPRO_AUDIT=1``.  A violation raises :class:`AuditError`,
+``VerifierConfig(audit=True)``.  A verification builds its engine's
+components inside :func:`audit_scope` with its config's resolved
+``audit``, so ``VerifierConfig(audit=False)`` runs unaudited under
+``REPRO_AUDIT=1``.  A violation raises :class:`AuditError`,
 an ``AssertionError`` subclass: under the crash-containment guard it
 surfaces as an ``ERROR`` verdict whose diagnostic names the broken
 invariant, which the fuzz harness (:mod:`repro.oracle.harness`) counts as
@@ -44,6 +49,8 @@ a finding.
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence
 
 __all__ = [
@@ -55,7 +62,7 @@ __all__ = [
     "check_conflict_clause",
     "check_propagation_reason",
     "check_unit_edge_reason",
-    "enable_audit",
+    "audit_scope",
 ]
 
 _TRUTHY = ("1", "true", "on", "yes")
@@ -75,25 +82,31 @@ def parse_audit(raw: str) -> bool:
     return raw.strip().lower() in _TRUTHY
 
 
+_scope = threading.local()
+
+
 def audit_enabled() -> bool:
-    """Whether ``REPRO_AUDIT`` asks for auditing (read per construction,
-    so tests can flip it with ``monkeypatch.setenv``)."""
+    """Whether components built now audit: the innermost
+    :func:`audit_scope` of this thread decides, else ``REPRO_AUDIT``
+    (read per construction, so tests can flip it with
+    ``monkeypatch.setenv``)."""
+    on = getattr(_scope, "on", None)
+    if on is not None:
+        return on
     return parse_audit(os.environ.get("REPRO_AUDIT", ""))
 
 
-def enable_audit(encoded, on: bool = True) -> None:
-    """Switch auditing on (or, with ``on=False``, off) for an encoded
-    program's SAT core, theory solver and cycle detector, whatever
-    ``REPRO_AUDIT`` said when they were built (mirror of
-    :func:`repro.verify.telemetry.attach_telemetry`)."""
-    theory = getattr(encoded, "theory", None)
-    for component in (
-        getattr(encoded, "solver", None),
-        theory,
-        getattr(theory, "detector", None),
-    ):
-        if component is not None and hasattr(component, "audit"):
-            component.audit = on
+@contextmanager
+def audit_scope(on: bool):
+    """Build components auditing (or not, with ``on=False``) whatever
+    ``REPRO_AUDIT`` says.  Auditing is fixed at construction: the SAT
+    core's proof log must hold every input clause."""
+    saved = getattr(_scope, "on", None)
+    _scope.on = on
+    try:
+        yield
+    finally:
+        _scope.on = saved
 
 
 # ----------------------------------------------------------------------

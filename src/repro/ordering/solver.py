@@ -273,6 +273,10 @@ class OrderingTheory(Theory):
         if self.audit:
             self._audit_check()
 
+    def proof_data(self):
+        edges = {v: (e.kind, e.src, e.dst) for v, e in self._edge_of_var.items()}
+        return edges, self._po_edges
+
     def _audit_check(self) -> None:
         """Invariant audit step (opt-in; see :mod:`repro.oracle.audit`)."""
         from repro.oracle.audit import check_icd_labels, check_theory_sync

@@ -19,10 +19,9 @@ Since the flat-kernel rewrite (``docs/SATCORE.md``) the hot state lives in
 flat arena, watcher lists are flat ``(tag, blocker)`` pair-lists, and the
 VSIDS order is an indexed binary heap.  This module keeps everything
 *above* the kernel -- DPLL(T), 1UIP analysis, assumptions/unsat cores,
-clause sharing, audit, telemetry, budgets -- and exposes the pre-rewrite
-object surface (``_learned`` / ``_watches`` / ``_reason`` views with
-stable identity) for tests and debugging.  The byte-stable pre-rewrite
-implementation survives as :mod:`repro.sat.reference`.
+clause sharing, the audit's proof log, telemetry, budgets.  Under audit
+every answer is checked by the independent
+:class:`repro.oracle.certify.ProofChecker`.
 
 Literals are DIMACS integers (``v`` / ``-v``); variables are 1-based.
 """
@@ -175,13 +174,23 @@ class Solver:
         #: ``theory`` child of the verifier's ``solve`` span.
         self.theory_s = 0.0
         #: Debug-mode invariant auditing (``REPRO_AUDIT=1`` or
-        #: ``VerifierConfig.audit``): checks that theory conflict clauses
-        #: are falsified, propagation reasons are well-formed, and unsat
-        #: cores re-solve UNSAT (see :mod:`repro.oracle.audit`).
+        #: ``VerifierConfig.audit``, fixed at construction): checks that
+        #: theory conflict clauses are falsified and propagation reasons
+        #: well-formed (:mod:`repro.oracle.audit`), and logs every clause
+        #: the search relies on to :attr:`proof` so that each answer is
+        #: certified by :mod:`repro.oracle.certify`.
         from repro.oracle.audit import audit_enabled as _audit_enabled
 
         self.audit = _audit_enabled()
-        self._in_audit = False
+        #: Proof log entries ``(tag, literals)`` not yet checked, and the
+        #: checker that accepted the earlier ones (made by the first
+        #: audited solve).
+        self.proof: List[tuple] = []
+        self.checker = None
+        if self.audit:
+            # Inputs are logged by shadowing add_clause on this instance,
+            # so the unaudited intake path runs no audit test at all.
+            self.add_clause = self._logged_add_clause
         #: Optional telemetry sink (``repro.verify.telemetry.TraceWriter``):
         #: receives solve_start/restart/theory_conflict/theory_propagation/
         #: solve_end events.  Kept off the hot boolean-propagation path.
@@ -288,6 +297,11 @@ class Solver:
         w.append(l0)
         return True
 
+    def _logged_add_clause(self, lits: Sequence[int]) -> bool:
+        """:meth:`add_clause` under audit: log the clause as given."""
+        self.proof.append(("input", list(lits)))
+        return Solver.add_clause(self, lits)
+
     def _simplify_long(self, lits: Sequence[int]) -> Optional[List[int]]:
         """:meth:`add_clause`'s simplification for a long clause, deduped
         through a set (``in`` on the output list is quadratic).  None when
@@ -369,13 +383,8 @@ class Solver:
         if self.share is not None:
             self.share.flush()
         self._sync_stats()
-        if (
-            self.audit
-            and not self._in_audit
-            and result == SolveResult.UNSAT
-            and self.unsat_core
-        ):
-            self._audit_unsat_core()
+        if self.audit:
+            self._certify(result)
         if self.telemetry is not None:
             self.telemetry.emit("solve_end", result=result, **self.stats.as_dict())
         return result
@@ -389,37 +398,20 @@ class Solver:
         st.watcher_visits = k.n_visits
         st.heap_ops = k.heap.n_ops
 
-    def _audit_unsat_core(self) -> None:
-        """Audit check: the reported unsat core re-solves UNSAT in
-        isolation (on the same incremental instance, with the core as the
-        only assumptions).  Telemetry and clause sharing are suspended for
-        the inner solve so the audit leaves no external trace."""
-        from repro.oracle.audit import AuditError
+    def _certify(self, result: str) -> None:
+        """Audit: check the proof log appended since the last solve, then
+        certify the answer (RUP of the negated unsat core, or the model
+        against the inputs and the ordering axioms)."""
+        from repro.oracle.certify import ProofChecker
 
-        core = list(self.unsat_core)
-        assumps = list(self._assumps)
-        stray = [lit for lit in core if lit not in assumps]
-        if stray:
-            raise AuditError(
-                f"unsat core literals {stray} are not among the "
-                f"assumptions {assumps}"
-            )
-        saved_telemetry, self.telemetry = self.telemetry, None
-        saved_share, self.share = self.share, None
-        self._in_audit = True
-        try:
-            res = self.solve(assumptions=core)
-            if res != SolveResult.UNSAT:
-                raise AuditError(
-                    f"unsat core {core} does not re-solve UNSAT in "
-                    f"isolation (got {res})"
-                )
-        finally:
-            self._in_audit = False
-            self.telemetry = saved_telemetry
-            self.share = saved_share
-            self.unsat_core = core
-            self._assumps = assumps
+        if self.checker is None:
+            self.checker = ProofChecker()
+        entries, self.proof = self.proof, []
+        self.checker.check(entries, self.theory.proof_data())
+        if result == SolveResult.UNSAT:
+            self.checker.certify_unsat(self.unsat_core, self._assumps)
+        else:
+            self.checker.check_model(self._model)
 
     def _solve(self) -> str:
         if self._unsat:
@@ -569,36 +561,40 @@ class Solver:
                 # Pure-SAT instance: nothing to feed the theory.
                 self._theory_qhead = n
                 return None
-            # Feed newly assigned relevant literals to the theory.  The
-            # trail only grows via the `progressed` break below, so the
-            # length is loop-invariant here.
-            progressed = False
+            # Feed newly assigned relevant literals to the theory, under
+            # one timer per batch; the batch stops at the first result
+            # with work for the SAT core, which runs outside the timer.
+            # The trail only grows when that work is done, so the length
+            # is loop-invariant here.
+            t = clock()
+            res = None
             while self._theory_qhead < n:
                 lit = trail[self._theory_qhead]
                 self._theory_qhead += 1
                 if not relevant[abs(lit)]:
                     continue
-                t = clock()
                 res = self.theory.assign(lit, self.decision_level)
-                self.theory_s += clock() - t
-                if res.is_conflict:
-                    self.stats.theory_conflicts += 1
-                    if self.telemetry is not None:
-                        self.telemetry.emit(
-                            "theory_conflict",
-                            level=self.decision_level,
-                            clauses=len(res.conflicts),
-                        )
-                    return self._handle_theory_conflict_clauses(res.conflicts)
-                if res.propagations:
-                    c = self._apply_theory_propagations(res.propagations)
-                    if c is not None:
-                        return c
-                    progressed = True
-                    break  # run boolean propagation on the new literals
-            if not progressed and self._theory_qhead >= n:
+                if res.conflicts or res.propagations:
+                    break
+                res = None
+            self.theory_s += clock() - t
+            if res is None:
                 if kernel.qhead >= n:
                     return None
+                continue
+            if res.conflicts:
+                self.stats.theory_conflicts += 1
+                if self.telemetry is not None:
+                    self.telemetry.emit(
+                        "theory_conflict",
+                        level=self.decision_level,
+                        clauses=len(res.conflicts),
+                    )
+                return self._handle_theory_conflict_clauses(res.conflicts)
+            c = self._apply_theory_propagations(res.propagations)
+            if c is not None:
+                return c
+            # Run boolean propagation on the new literals.
 
     def _conflict_lits(self, conflict: _Conflict) -> List[int]:
         """The literals of a conflict in flight (cref or raw list)."""
@@ -623,6 +619,7 @@ class Solver:
 
             for clause_lits in conflicts:
                 check_conflict_clause(self.value, clause_lits)
+                self.proof.append(("theory", list(clause_lits)))
         for extra in conflicts[1:]:
             if len(extra) >= 1:
                 self._pending_lemmas.append(list(extra))
@@ -703,6 +700,7 @@ class Solver:
                 from repro.oracle.audit import check_propagation_reason
 
                 check_propagation_reason(self.value, lit, reason_lits)
+                self.proof.append(("theory", list(reason_lits)))
             if val == _FALSE:
                 return list(reason_lits)
             self.stats.theory_propagations += 1
@@ -918,6 +916,8 @@ class Solver:
         return core
 
     def _record_learnt(self, learnt: List[int]) -> None:
+        if self.audit:
+            self.proof.append(("learn", list(learnt)))
         if self.share is not None and self.share.offer(learnt):
             self.stats.shared_exported += 1
         if len(learnt) == 1:
@@ -941,7 +941,10 @@ class Solver:
             return True
         for lits in self.share.exchange():
             self.stats.shared_imported += 1
-            if not self.add_clause(lits):
+            if self.audit:
+                self.proof.append(("import", list(lits)))
+            # The class's add_clause: an import is not an input.
+            if not Solver.add_clause(self, lits):
                 return False
         return not self._unsat
 

@@ -92,6 +92,14 @@ class Theory:
         """
         self.backjump(0)
 
+    def proof_data(self):
+        """Plain data for the audit's proof checker
+        (:mod:`repro.oracle.certify`): ``({var: (kind, src, dst)}, [(a, b),
+        ...])``, the registered ordering variables with their edges and
+        the program-order edges.  None for a theory with no ordering
+        lemmas, whose solver's proof is then pure RUP."""
+        return None
+
     def final_check(self) -> TheoryResult:
         """Called when the Boolean assignment is total and consistent so far.
 

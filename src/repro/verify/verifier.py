@@ -27,7 +27,7 @@ from typing import Optional, Union
 from repro.frontend import build_symbolic_program
 from repro.lang import ast, parse
 from repro.robustness import active_budget, checkpoint
-from repro.oracle.audit import enable_audit
+from repro.oracle.audit import audit_scope
 from repro.robustness.budget import Budget, BudgetExceeded
 from repro.robustness.fallback import Attempt, resolve_chain
 from repro.robustness.guard import run_guarded
@@ -89,8 +89,16 @@ def verify_one(
     from repro.lang.sema import check_program
 
     check_program(program)
-    budget = Budget.from_config(config)
     chain = resolve_chain(config)
+    # Engine modules are imported on first use: resolve every link's
+    # runner before the budget's clock starts, so no deadline is spent
+    # on an import the result's wall time does not show.
+    runners = {
+        cfg.engine: registry.resolve_engine(cfg.engine)
+        for cfg, _ in chain
+        if cfg is not None
+    }
+    budget = Budget.from_config(config)
     attempts = []
     result: Optional[VerificationResult] = None
     with active_budget(budget):
@@ -102,7 +110,9 @@ def verify_one(
                 cfg = cfg.with_(
                     trace_jsonl=f"{config.trace_jsonl}.fallback{i}-{cfg.name}"
                 )
-            result = _verify_attempt(program, cfg, measure_memory, budget)
+            result = _verify_attempt(
+                program, cfg, runners[cfg.engine], measure_memory, budget
+            )
             if result.verdict in _CONCLUSIVE:
                 status = "conclusive"
             elif result.verdict == Verdict.ERROR:
@@ -127,11 +137,13 @@ def verify_one(
 def _verify_attempt(
     program: ast.Program,
     config: VerifierConfig,
+    runner,
     measure_memory: bool,
     budget: Budget,
 ) -> VerificationResult:
-    """One guarded engine execution (a single link of the fallback chain)."""
-    runner = registry.resolve_engine(config.engine)
+    """One guarded engine execution (a single link of the fallback chain).
+    The engine builds its solvers inside an :func:`audit_scope` of the
+    config's resolved ``audit``."""
     writer = TraceWriter(config.trace_jsonl) if config.trace_jsonl else None
     start = time.monotonic()
     if writer is not None:
@@ -139,9 +151,10 @@ def _verify_attempt(
     if measure_memory:
         tracemalloc.start()
     try:
-        result = run_guarded(
-            runner, program, config, telemetry=writer, budget=budget
-        )
+        with audit_scope(config.audit):
+            result = run_guarded(
+                runner, program, config, telemetry=writer, budget=budget
+            )
     finally:
         if measure_memory:
             _, peak = tracemalloc.get_traced_memory()
@@ -198,7 +211,6 @@ def run_smt_engine(
             checkpoint("encode")
             encoded = encode(sym, config)
         attach_telemetry(encoded, telemetry)
-        enable_audit(encoded, config.audit)
 
         if encoded.trivially_safe:
             return VerificationResult(
@@ -220,9 +232,8 @@ def run_smt_engine(
         if share is not None:
             encoded.solver.share = share
 
-        # The frozen reference core has no theory timer: read it tolerantly.
         solver = encoded.solver
-        with spans.span("solve", theory=lambda: getattr(solver, "theory_s", 0.0)):
+        with spans.span("solve", theory=lambda: solver.theory_s):
             if schedule:
                 answer, bound_stats = _solve_schedule(encoded, config, telemetry)
             else:

@@ -6,12 +6,12 @@ import pytest
 from repro.oracle.audit import (
     AuditError,
     audit_enabled,
+    audit_scope,
     check_conflict_clause,
     check_icd_labels,
     check_propagation_reason,
     check_theory_sync,
     check_unit_edge_reason,
-    enable_audit,
 )
 from repro.ordering import OrderingTheory
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
@@ -55,20 +55,21 @@ class TestAuditEnabled:
         assert VerifierConfig().audit is False
         assert VerifierConfig(audit=True).audit is True
 
-    def test_enable_audit_reaches_all_layers(self, monkeypatch):
+    def test_audit_scope_reaches_all_layers(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
         solver, theory = make_theory(2, [])
         assert solver.audit is False and theory.audit is False
-
-        class Enc:
-            pass
-
-        enc = Enc()
-        enc.solver, enc.theory = solver, theory
-        enable_audit(enc)
+        with audit_scope(True):
+            solver, theory = make_theory(2, [])
         assert solver.audit and theory.audit and theory.detector.audit
-        enable_audit(enc, on=False)
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        with audit_scope(False):
+            assert audit_enabled() is False
+            with audit_scope(True):
+                assert audit_enabled() is True
+            solver, theory = make_theory(2, [])
         assert not (solver.audit or theory.audit or theory.detector.audit)
+        assert audit_enabled() is True
 
     @pytest.mark.parametrize("audit", [False, True])
     def test_config_overrides_env_both_ways(self, monkeypatch, audit):
@@ -341,7 +342,17 @@ class TestEndToEndAudit:
         solver.add_clause([a])
         solver.add_clause([-a, b])
         assert solver.solve(assumptions=[-b]) == SolveResult.UNSAT
-        assert solver.unsat_core  # audited internally without recursion
+        assert solver.unsat_core == [-b]
+        assert solver.checker.certified == 1
+        assert solver.proof == []  # every entry checked
+        # A core that is not a failing subset is rejected.
+        with pytest.raises(AuditError, match="not RUP"):
+            solver.checker.certify_unsat([a], [a])
+        with pytest.raises(AuditError, match="not among the assumptions"):
+            solver.checker.certify_unsat([-b], [a])
+        # The checker keeps its clauses across incremental solves.
+        assert solver.solve(assumptions=[b]) == SolveResult.SAT
+        assert solver.checker.models == 1
 
     def test_ablations_pass_audited(self):
         for preset in ("zord", "zord-", "zord'", "zord-tarjan", "cbmc"):

@@ -7,9 +7,11 @@ axioms (acyclicity after from-read closure) directly.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.oracle.audit import AuditError, audit_scope
 from repro.ordering import OrderingTheory
 from repro.sat import SolveResult, Solver
 
@@ -110,9 +112,16 @@ class TestFromReadPropagation:
         assert solver.solve() == SolveResult.UNSAT
 
     def test_without_fr_propagation_missed(self):
-        # Demonstrates why Zord⁻ must encode rho_fr in the formula.
-        solver, _ = self._fr_scenario(fr_propagation=False)
+        # Demonstrates why Zord⁻ must encode rho_fr in the formula: the
+        # theory alone accepts a model that breaks Axiom 2, and the
+        # audit's model check rejects exactly that model.
+        with audit_scope(False):
+            solver, _ = self._fr_scenario(fr_propagation=False)
         assert solver.solve() == SolveResult.SAT
+        with audit_scope(True):
+            solver, _ = self._fr_scenario(fr_propagation=False)
+        with pytest.raises(AuditError, match="cycle"):
+            solver.solve()
 
     def test_ws_after_rf_derives_too(self):
         # Same scenario but WS assigned after RF: derivation must trigger

@@ -181,3 +181,29 @@ class TestBudgetIsTheOnlyEnforcer:
         assert result.verdict == Verdict.UNKNOWN
         assert result.stats["budget_limit"] == "time"
         assert result.stats["budget_phase"]
+
+
+def test_engine_import_is_not_charged_to_the_deadline():
+    """The budget's clock starts after every chain link's runner is
+    resolved: an engine whose first load outlasts the deadline still
+    answers within it."""
+    from repro.robustness import checkpoint
+    from repro.verify import VerificationResult, registry
+
+    def _slow_loader():
+        time.sleep(0.15)  # a cold import
+
+        def run(program, config, telemetry=None):
+            checkpoint("engine")
+            return VerificationResult(Verdict.SAFE, config.name)
+
+        return run
+
+    registry.register_engine("slow-import", _slow_loader, description="test")
+    try:
+        config = PRESETS["zord"]().with_(engine="slow-import", time_limit_s=0.1)
+        result = verify(COUNTER_SAFE, config)
+    finally:
+        registry.unregister_engine("slow-import")
+    assert result.verdict == Verdict.SAFE, result.stats
+    assert "budget_limit" not in result.stats

@@ -6,9 +6,9 @@ watcher visits, heap ops, blocker skips -- all deterministic for a fixed
 instance) are compared against structural expectations and against a
 recorded object-soup baseline.
 
-Recorded baseline (measured once against
-``repro.sat.reference.ReferenceSolver`` on the fixed instance below,
-2026-08; see ``docs/SATCORE.md``): the lazy ``(-activity, var)`` tuple
+Recorded baseline (measured once against the pre-rewrite solver core,
+since deleted, on the fixed instance below, 2026-08; see
+``docs/SATCORE.md``): the lazy ``(-activity, var)`` tuple
 heap performed 3580 heappush+heappop operations over 43 conflicts --
 **83.3 heap ops per conflict** -- because every bump pushes a fresh tuple
 and pops must discard stale ones.  The indexed heap measured 21.9 ops per
@@ -22,7 +22,7 @@ import random
 
 from repro.sat import SolveResult, Solver
 
-#: Recorded ReferenceSolver heap traffic per conflict on FIXED_SEED/NVARS
+#: Recorded pre-rewrite heap traffic per conflict on FIXED_SEED/NVARS
 #: (see module docstring for how it was measured).
 REF_HEAP_OPS_PER_CONFLICT = 83.3
 

@@ -203,3 +203,24 @@ def test_larger_random_instances_complete(seed):
     ]
     _, res = solve_clauses(nvars, clauses)
     assert res in (SolveResult.SAT, SolveResult.UNSAT)
+
+
+#: First 64 Luby values (i = 1..64), pinned so the memoized rewrite can
+#: never drift from the derivation it replaced.
+LUBY_64 = [
+    1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1,
+    1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 16, 1,
+    1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1, 1,
+    2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 16, 32, 1,
+]
+
+
+class TestLubyMemo:
+    def test_first_64_values_pinned(self):
+        assert [luby(i) for i in range(1, 65)] == LUBY_64
+
+    def test_memo_is_consistent_across_orders(self):
+        # Querying out of order must not corrupt the cache.
+        assert luby(64) == 1
+        assert luby(15) == 8
+        assert [luby(i) for i in range(1, 65)] == LUBY_64
