@@ -93,6 +93,9 @@ class IdlTheory(Theory):
         self._trail.append((edge, level))
         return result
 
+    #: Never set: the borrowed :meth:`proof_data` would audit indices
+    #: this theory does not keep.
+    audit = False
     proof_data = OrderingTheory.proof_data
 
     def backjump(self, level: int) -> None:

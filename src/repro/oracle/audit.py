@@ -6,32 +6,33 @@ incremental cycle detection labels, the theory trail, the RF/WS indices,
 conflict-clause falsification, unsat cores -- and theory/SAT desyncs in
 exactly this kind of integration are notoriously silent: the solver keeps
 producing *answers*, just not always the right ones.  The auditor turns
-those invariants into hard checks:
+those invariants into hard checks, each run once, by the component that
+owns the state it reads:
 
-* **ICD labels** (:func:`check_icd_labels`): the pseudo-topological order
-  is a permutation and every active edge ``u -> v`` satisfies
-  ``ord[u] < ord[v]``;
-* **theory state sync** (:func:`check_theory_sync`): the theory trail,
-  the event graph's active adjacency (out and in), the
-  ``_out_rf``/``_out_ws`` partner indices and the inactive-edge index all
-  describe the same set of edges, in activation order, across arbitrary
-  backjumps; a fresh unit-edge candidate index lists every live edge that
-  points backward in the ICD order, with current labels;
+* **ICD labels** (:func:`check_icd_labels`): ``ord`` is a permutation
+  and every active edge ``u -> v`` has ``ord[u] < ord[v]``.  Labels move
+  only in a reorder, which the detector checks as a delta
+  (:func:`check_icd_reorder`);
+* **theory state sync** (:func:`check_theory_sync`): the trail, the
+  active adjacency (out and in), the ``_out_rf``/``_out_ws`` partner
+  indices and the inactive-edge index describe the same edges, in
+  activation order, and the unit-edge candidate index lists every live
+  edge pointing backward in ``ord``.  The theory checks what each
+  ``assign`` pushed (:func:`check_theory_push`) and each ``backjump``
+  popped (:func:`check_theory_pop`);
 * **conflict clauses** (:func:`check_conflict_clause`): every theory
-  conflict clause handed to the SAT core is actually falsified by the
-  current assignment;
+  conflict clause handed to the SAT core is falsified;
 * **propagation reasons** (:func:`check_propagation_reason`): a reason
   clause contains its propagated literal and no other non-false literal;
-* **unit-edge reasons** (:func:`check_unit_edge_reason`): the reason of a
-  unit-edge propagation names active edges that, with the unit edge,
-  close a real cycle through the inserted edge -- every from-read edge on
-  it justified by its Axiom 2 premises inside the reason;
-* **answers** (:mod:`repro.oracle.certify`): the SAT core logs every
-  clause its search relies on, and an independent proof checker accepts
-  learned clauses by reverse unit propagation and theory lemmas as real
-  cycles, certifies every UNSAT by RUP of its negated unsat core, and
-  checks every SAT model against the input clauses and the ordering
-  axioms.
+* **lemmas and answers** (:mod:`repro.oracle.certify`): the SAT core logs
+  every clause its search relies on, and an independent proof checker
+  accepts learned clauses by reverse unit propagation and theory lemmas
+  (conflict clauses, unit-edge and from-read reasons) as real cycles,
+  certifies every UNSAT by RUP of its negated unsat core, and checks
+  every SAT model against the input clauses and the ordering axioms.
+
+The two full checks run once per solve, when the SAT core asks the
+theory for its proof data at the end of an audited solve.
 
 Auditing is opt-in: set ``REPRO_AUDIT=1`` in the environment (picked up
 by every :class:`~repro.sat.solver.Solver` /
@@ -51,17 +52,19 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "AuditError",
     "audit_enabled",
     "parse_audit",
     "check_icd_labels",
+    "check_icd_reorder",
     "check_theory_sync",
+    "check_theory_push",
+    "check_theory_pop",
     "check_conflict_clause",
     "check_propagation_reason",
-    "check_unit_edge_reason",
     "audit_scope",
 ]
 
@@ -136,6 +139,38 @@ def check_icd_labels(graph) -> None:
                 )
 
 
+def check_icd_reorder(graph, old, edge, window) -> None:
+    """The delta of :func:`check_icd_labels` for one ICD reorder, before
+    ``edge`` is activated: ``old`` is ``ord`` before the reorder and
+    ``window`` its nodes B ∪ F.  Only window labels moved, among
+    themselves, and the active edges incident to the window and ``edge``
+    respect the new order: with the invariant holding before, it holds
+    after ``edge`` is inserted."""
+    ord_ = graph.ord
+    nodes = set(window)
+    kept = list(ord_)
+    for x in nodes:
+        kept[x] = old[x]
+    if kept != old:
+        moved = [x for x in range(graph.n) if kept[x] != old[x]]
+        raise AuditError(
+            f"ICD reorder inserting {edge!r} moved labels outside its "
+            f"window {sorted(nodes)}: nodes {moved}"
+        )
+    if sorted(ord_[x] for x in nodes) != sorted(old[x] for x in nodes):
+        raise AuditError(
+            f"ICD reorder inserting {edge!r} did not permute the labels of "
+            f"its window {sorted(nodes)}"
+        )
+    for e in [edge] + [e for x in nodes for e in graph.out[x] + graph.inc[x]]:
+        if ord_[e.src] >= ord_[e.dst]:
+            raise AuditError(
+                f"ICD reorder inserting {edge!r} leaves {e!r} against the "
+                f"pseudo-topological order: ord[{e.src}]={ord_[e.src]} >= "
+                f"ord[{e.dst}]={ord_[e.dst]}"
+            )
+
+
 # ----------------------------------------------------------------------
 # Theory trail / graph / index synchronization
 # ----------------------------------------------------------------------
@@ -143,92 +178,121 @@ def check_icd_labels(graph) -> None:
 
 def check_theory_sync(theory) -> None:
     """Trail, active adjacency, RF/WS partner indices and the
-    inactive-edge index all agree (``theory`` is an
+    inactive-edge index all agree, and the unit-edge candidate index
+    agrees with the labels (``theory`` is an
     :class:`repro.ordering.solver.OrderingTheory`)."""
     graph = theory.graph
     trail = theory._trail
-
-    for (e1, l1), (e2, l2) in zip(trail, trail[1:]):
-        if l1 > l2:
-            raise AuditError(
-                f"theory trail levels not monotone: {e1!r}@{l1} precedes "
-                f"{e2!r}@{l2}"
-            )
-
-    active: List = [e for edges in graph.out for e in edges]
-    active_ids = {id(e) for e in active}
-    if len(active_ids) != len(active):
-        raise AuditError("an edge appears twice in the active out-adjacency")
+    levels = [lvl for _, lvl in trail]
+    if levels != sorted(levels):
+        raise AuditError(f"theory trail levels not monotone: {levels}")
+    active = [e for edges in graph.out for e in edges]
     inc = [e for edges in graph.inc for e in edges]
-    if len(inc) != len(active) or {id(e) for e in inc} != active_ids:
+    on_trail = {id(e) for e, _ in trail}
+    if (
+        not len(active) == len({id(e) for e in active}) == graph.n_active_edges
+        or sorted(map(id, inc)) != sorted(map(id, active))
+        or len(on_trail) != len(trail)
+        or on_trail != {id(e) for e in active if not e.is_po}
+        or not all(e.active for e in active)
+    ):
         raise AuditError(
-            f"in/out adjacency desynchronized: {len(inc)} incoming vs "
-            f"{len(active)} outgoing active edges"
+            f"theory trail ({len(trail)} edges), active out/in adjacency "
+            f"({len(active)}/{len(inc)} edges) and active edge count "
+            f"{graph.n_active_edges} disagree"
         )
-    if graph.n_active_edges != len(active):
-        raise AuditError(
-            f"active edge count {graph.n_active_edges} != adjacency size "
-            f"{len(active)}"
-        )
-    for e in active:
-        if not e.active:
-            raise AuditError(f"edge in adjacency but not flagged active: {e!r}")
-
-    trail_ids = [id(e) for e, _ in trail]
-    if len(set(trail_ids)) != len(trail_ids):
-        raise AuditError("an edge appears twice on the theory trail")
-    non_po_ids = {id(e) for e in active if not e.is_po}
-    if set(trail_ids) != non_po_ids:
-        missing = [e for e, _ in trail if id(e) not in active_ids]
-        stray = [e for e in active if not e.is_po and id(e) not in set(trail_ids)]
-        raise AuditError(
-            "theory trail and active non-PO edges disagree: "
-            f"trail edges not active={missing!r}, "
-            f"active edges not on trail={stray!r}"
-        )
-
     # RF/WS partner indices mirror the trail in activation order.
-    expect_rf: List[List] = [[] for _ in range(graph.n)]
-    expect_ws: List[List] = [[] for _ in range(graph.n)]
-    for e, _lvl in trail:
-        if e.kind == "rf":
-            expect_rf[e.src].append(e)
-        elif e.kind == "ws":
-            expect_ws[e.src].append(e)
-    for src in range(graph.n):
-        for label, got, want in (
-            ("_out_rf", theory._out_rf[src], expect_rf[src]),
-            ("_out_ws", theory._out_ws[src], expect_ws[src]),
-        ):
-            if len(got) != len(want) or any(
-                a is not b for a, b in zip(got, want)
-            ):
+    for kind in ("rf", "ws"):
+        want = [[] for _ in range(graph.n)]
+        for e, _ in trail:
+            if e.kind == kind:
+                want[e.src].append(e)
+        got = getattr(theory, f"_out_{kind}")
+        for src in range(graph.n):
+            if got[src] != want[src]:
                 raise AuditError(
-                    f"{label}[{src}] desynchronized from the trail: "
-                    f"index={got!r}, trail={want!r}"
+                    f"_out_{kind}[{src}] desynchronized from the trail: "
+                    f"index={got[src]!r}, trail={want[src]!r}"
                 )
-
     # Variable-controlled edges sit in exactly one of active / inactive.
-    for var, e in theory._edge_of_var.items():
-        bucket = graph.inactive_out[e.src].get(e.dst, [])
-        in_bucket = any(x is e for x in bucket)
-        if e.active:
-            if id(e) not in active_ids:
-                raise AuditError(
-                    f"registered edge flagged active but absent from the "
-                    f"adjacency: var {var}, {e!r}"
-                )
-            if in_bucket:
-                raise AuditError(
-                    f"active edge still in the inactive index: var {var}, {e!r}"
-                )
-        elif not in_bucket:
+    for e in theory._edge_of_var.values():
+        inactive = e in graph.inactive_out[e.src].get(e.dst, ())
+        if e.active == inactive or (e.active and e not in graph.out[e.src]):
             raise AuditError(
-                f"inactive registered edge missing from the inactive "
-                f"index: var {var}, {e!r}"
+                f"registered edge {e!r} is not in exactly one of the "
+                f"active adjacency and the inactive index"
+            )
+    _check_unit_candidates(theory)
+
+
+def check_theory_push(theory, mark: int, n_active: int, level: int) -> None:
+    """The delta of :func:`check_theory_sync` for one ``assign`` at
+    ``level``: the edges it pushed (``theory._trail[mark:]``; ``n_active``
+    edges were active before) sit at ``level`` on the trail, in the
+    active adjacency, outside the inactive index and at the tails of
+    their partner indices."""
+    graph = theory.graph
+    trail = theory._trail
+    pushed = trail[mark:]
+    prev = trail[mark - 1][1] if mark else 0
+    if prev > level or any(lvl != level for _, lvl in pushed):
+        raise AuditError(
+            f"assign at level {level} pushed {pushed!r} after a level-{prev} "
+            f"trail entry"
+        )
+    if graph.n_active_edges != n_active + len(pushed):
+        raise AuditError(
+            f"assign pushed {len(pushed)} edges but the active edge count "
+            f"went from {n_active} to {graph.n_active_edges}"
+        )
+    tails = {}
+    for e, _ in pushed:
+        if not e.active or e not in graph.out[e.src] or e not in graph.inc[e.dst]:
+            raise AuditError(f"pushed edge missing from the adjacency: {e!r}")
+        if e in graph.inactive_out[e.src].get(e.dst, ()):
+            raise AuditError(f"pushed edge still in the inactive index: {e!r}")
+        if e.kind in ("rf", "ws"):
+            tails.setdefault((e.kind, e.src), []).append(e)
+    for (kind, src), want in tails.items():
+        got = getattr(theory, f"_out_{kind}")[src][-len(want):]
+        if got != want:
+            raise AuditError(
+                f"_out_{kind}[{src}] ends with {got!r}, not with the pushed "
+                f"edges {want!r}"
             )
 
-    _check_unit_candidates(theory)
+
+def check_theory_pop(theory, popped, n_active: int, level: int) -> None:
+    """The delta of :func:`check_theory_sync` for one ``backjump`` to
+    ``level``: the trail holds nothing above ``level``, and every edge it
+    popped (``n_active`` edges were active before) left the active
+    adjacency and its partner index for the inactive index."""
+    graph = theory.graph
+    trail = theory._trail
+    if trail and trail[-1][1] > level:
+        raise AuditError(
+            f"backjump to level {level} left {trail[-1]!r} on the trail"
+        )
+    if graph.n_active_edges != n_active - len(popped):
+        raise AuditError(
+            f"backjump popped {len(popped)} edges but the active edge count "
+            f"went from {n_active} to {graph.n_active_edges}"
+        )
+    for e, _ in popped:
+        index = getattr(theory, f"_out_{e.kind}", None)
+        if (
+            e.active
+            or e in graph.out[e.src]
+            or e in graph.inc[e.dst]
+            or (index is not None and e in index[e.src])
+        ):
+            raise AuditError(
+                f"backjump to level {level} left the popped edge {e!r} active"
+            )
+        if e.var is not None and e not in graph.inactive_out[e.src].get(e.dst, ()):
+            raise AuditError(
+                f"popped edge missing from the inactive index: {e!r}"
+            )
 
 
 def _check_unit_candidates(theory) -> None:
@@ -236,36 +300,25 @@ def _check_unit_candidates(theory) -> None:
     ``_back`` is exactly the registered edges pointing backward, sorted by
     ``ord[dst]``, and ``_cands`` holds every live one, keyed by its
     current ``ord[dst]``."""
-    if not getattr(theory, "_ordered", False) or theory._back_stale:
+    if not theory._ordered or theory._back_stale:
         return
     ord_ = theory.graph.ord
-    want = {
-        var
-        for var, e in theory._edge_of_var.items()
-        if ord_[e.src] > ord_[e.dst]
-    }
-    got = [e.var for e in theory._back]
-    if len(got) != len(set(got)) or set(got) != want:
-        raise AuditError(
-            f"unit-edge candidate index lists {sorted(got)}, but the edges "
-            f"pointing backward in ord are {sorted(want)}"
-        )
+    want = [e for e in theory._edge_of_var.values() if ord_[e.src] > ord_[e.dst]]
     keys = [ord_[e.dst] for e in theory._back]
-    if keys != sorted(keys):
-        raise AuditError(f"unit-edge candidate index is out of order: {keys}")
+    if sorted(map(id, theory._back)) != sorted(map(id, want)) or keys != sorted(keys):
+        raise AuditError(
+            f"unit-edge candidate index lists vars "
+            f"{[e.var for e in theory._back]} at keys {keys}, but the edges "
+            f"pointing backward in ord are vars {sorted(e.var for e in want)}"
+        )
     if theory._cand_stale:
         return
-    if theory._cand_keys != [ord_[e.dst] for e in theory._cands]:
+    listed = {id(e) for e in theory._cands}
+    missing = [e.var for e in want if theory._assign[e.var] != -1 and id(e) not in listed]
+    if missing or theory._cand_keys != [ord_[e.dst] for e in theory._cands]:
         raise AuditError(
-            f"unit-edge candidate keys {theory._cand_keys} are stale"
-        )
-    listed = {e.var for e in theory._cands}
-    assign = theory._assign
-    missing = sorted(var for var in want if assign[var] != -1 and var not in listed)
-    if missing:
-        raise AuditError(
-            f"live backward edges missing from the unit-edge candidates: "
-            f"vars {missing}"
+            f"unit-edge candidates are stale: keys {theory._cand_keys}, "
+            f"live backward edges missing: vars {missing}"
         )
 
 
@@ -274,18 +327,26 @@ def _check_unit_candidates(theory) -> None:
 # ----------------------------------------------------------------------
 
 
+def _non_false(value_of, lits) -> Optional[str]:
+    """``"<lit> (<state>)"`` for the first literal of ``lits`` that is not
+    currently false, else None."""
+    for lit in lits:
+        v = value_of(lit)
+        if v is not False:
+            return f"{lit} ({'unassigned' if v is None else 'true'})"
+    return None
+
+
 def check_conflict_clause(
     value_of: Callable[[int], Optional[bool]], clause: Sequence[int]
 ) -> None:
     """Every literal of a theory conflict clause must be currently false."""
-    for lit in clause:
-        v = value_of(lit)
-        if v is not False:
-            state = "unassigned" if v is None else "true"
-            raise AuditError(
-                f"theory conflict clause {list(clause)} is not falsified: "
-                f"literal {lit} is {state}"
-            )
+    bad = _non_false(value_of, clause)
+    if bad:
+        raise AuditError(
+            f"theory conflict clause {list(clause)} is not falsified: "
+            f"literal {bad}"
+        )
 
 
 def check_propagation_reason(
@@ -294,90 +355,15 @@ def check_propagation_reason(
     reason: Sequence[int],
 ) -> None:
     """A propagation reason must contain ``lit`` and no other non-false
-    literal, and ``lit`` itself must not already be false."""
+    literal."""
     if lit not in reason:
         raise AuditError(
             f"propagation reason {list(reason)} does not contain its "
             f"propagated literal {lit}"
         )
-    for other in reason:
-        if other == lit:
-            continue
-        v = value_of(other)
-        if v is not False:
-            state = "unassigned" if v is None else "true"
-            raise AuditError(
-                f"propagation reason {list(reason)} for literal {lit} has "
-                f"non-false literal {other} ({state})"
-            )
-
-
-# ----------------------------------------------------------------------
-# Unit-edge propagation reasons (called by the theory solver)
-# ----------------------------------------------------------------------
-
-
-def check_unit_edge_reason(theory, new_edge, unit, reason: Sequence[int]) -> None:
-    """The reason clause of the unit edge ``unit = (f, b)``, propagated
-    after inserting ``new_edge = (u, v)``, is a real cycle.
-
-    The reason (less ``-unit.var``) must name only active ordering edges.
-    Those edges, the program order and every from-read edge whose Axiom 2
-    premises (an RF and a WS edge out of one write) both lie in the reason
-    must hold paths ``b ⇝ u`` and ``v ⇝ f``; ``new_edge``'s own derivation
-    must be in the reason.  With ``(u, v)`` and ``(f, b)`` they close the
-    cycle that makes ``unit`` false.
-    """
-    if -unit.var not in reason:
+    bad = _non_false(value_of, [other for other in reason if other != lit])
+    if bad:
         raise AuditError(
-            f"unit-edge reason {list(reason)} lacks its literal {-unit.var}"
+            f"propagation reason {list(reason)} for literal {lit} has "
+            f"non-false literal {bad}"
         )
-    lits = {-lit for lit in reason if lit != -unit.var}
-    edges = []
-    for var in sorted(lits):
-        edge = theory._edge_of_var.get(var)
-        if edge is None or not edge.active:
-            state = "unregistered" if edge is None else "inactive"
-            raise AuditError(
-                f"unit-edge reason {list(reason)} for {unit!r} names "
-                f"{state} ordering variable {var}"
-            )
-        edges.append(edge)
-    missing = set(new_edge.reason) - lits
-    if missing:
-        raise AuditError(
-            f"unit-edge reason {list(reason)} for {unit!r} omits the "
-            f"inserted edge {new_edge!r} (variables {sorted(missing)})"
-        )
-    succ = {}
-    for a, b in theory._po_edges:
-        succ.setdefault(a, []).append(b)
-    for e in edges:
-        succ.setdefault(e.src, []).append(e.dst)
-    # Axiom 2: w ≺rf r and w ≺ws w' give r ≺fr w'.
-    for rf in edges:
-        if rf.kind != "rf":
-            continue
-        for ws in edges:
-            if ws.kind == "ws" and ws.src == rf.src and ws.dst != rf.dst:
-                succ.setdefault(rf.dst, []).append(ws.dst)
-
-    def reaches(x, y):
-        seen, stack = {x}, [x]
-        while stack:
-            z = stack.pop()
-            if z == y:
-                return True
-            for w in succ.get(z, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    for x, y in ((unit.dst, new_edge.src), (new_edge.dst, unit.src)):
-        if not reaches(x, y):
-            raise AuditError(
-                f"unit-edge reason {list(reason)} for {unit!r} after "
-                f"inserting {new_edge!r} has no justified path {x} ⇝ {y}: "
-                f"the edges do not close a cycle"
-            )

@@ -51,11 +51,11 @@ OrderingData = Tuple[Dict[int, Tuple[str, int, int]], List[Tuple[int, int]]]
 class ProofChecker:
     """Checks one solver's proof log, incrementally across its solves.
 
-    Counters (read by tests and measurements): ``rup`` learned clauses
-    and ``lemmas`` theory lemmas accepted, ``trusted`` imports and
-    unchecked lemmas,
-    ``certified`` UNSAT answers, ``models`` SAT models checked and
-    ``time_s`` spent checking.
+    Counters: ``rup`` learned clauses and ``lemmas`` theory lemmas
+    accepted, ``trusted`` imports and unchecked lemmas, ``certified``
+    UNSAT answers, ``models`` SAT models checked and ``time_s`` spent
+    checking; a verification reports them as ``certify_*`` stats
+    (:meth:`as_stats`).
     """
 
     def __init__(self) -> None:
@@ -146,6 +146,15 @@ class ProofChecker:
                 )
         self.models += 1
         self.time_s += time.perf_counter() - t
+
+    def as_stats(self) -> Dict[str, float]:
+        """The counters as ``result.stats`` extras."""
+        stats = {
+            f"certify_{k}": getattr(self, k)
+            for k in ("rup", "lemmas", "certified", "models")
+        }
+        stats["certify_time_s"] = round(self.time_s, 6)
+        return stats
 
     # ------------------------------------------------------------------
     # Clauses and unit propagation

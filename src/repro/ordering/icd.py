@@ -72,8 +72,8 @@ class IncrementalCycleDetector:
         #: pseudo-topological-order permutation (telemetry/stats).
         self.on_reorder = None
         #: Debug-mode invariant auditing (``REPRO_AUDIT=1`` or
-        #: ``VerifierConfig.audit``): after every reordering, check the
-        #: B-before-F label discipline before the edge is activated.
+        #: ``VerifierConfig.audit``): check every reordering's labels
+        #: before the edge is activated (``check_icd_reorder``).
         from repro.oracle.audit import audit_enabled as _audit_enabled
 
         self.audit = _audit_enabled()
@@ -102,30 +102,20 @@ class IncrementalCycleDetector:
             # any such cycle first).
             return CYCLE
 
-        self._reorder(back_nodes, fwd_nodes)
         if self.audit:
-            self._audit_window(edge, back_nodes, fwd_nodes)
+            from repro.oracle.audit import check_icd_reorder
+
+            old = list(ord_)
+            self._reorder(back_nodes, fwd_nodes)
+            check_icd_reorder(g, old, edge, back_nodes + fwd_nodes)
+        else:
+            self._reorder(back_nodes, fwd_nodes)
         g.activate(edge)
         return ACCEPTED
 
     def remove_edge(self, edge: Edge) -> None:
         """Deactivate an edge; the pseudo-topological order stays valid."""
         self.graph.deactivate(edge)
-
-    def _audit_window(self, edge, back_nodes, fwd_nodes) -> None:
-        """Audit check: after the reorder, every B label precedes every F
-        label (which makes the inserted edge consistent, since its source
-        is in B and its target in F)."""
-        from repro.oracle.audit import AuditError
-
-        ord_ = self.graph.ord
-        max_b = max(ord_[n] for n in back_nodes)
-        min_f = min(ord_[n] for n in fwd_nodes)
-        if max_b >= min_f:
-            raise AuditError(
-                f"ICD reorder left max B label {max_b} >= min F label "
-                f"{min_f} while inserting {edge!r}"
-            )
 
     def _reorder(self, back_nodes: List[int], fwd_nodes: List[int]) -> None:
         """Permute the order labels so every B node precedes every F node.

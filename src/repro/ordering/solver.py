@@ -105,13 +105,17 @@ class OrderingTheory(Theory):
         #: Optional telemetry sink (``repro.verify.telemetry.TraceWriter``).
         self.telemetry = None
         #: Debug-mode invariant auditing (``REPRO_AUDIT=1`` or
-        #: ``VerifierConfig.audit``): after every assign/backjump, check
-        #: that the ICD labels are consistent with all active edges and
-        #: that the trail / event-graph active-set / RF-WS indices are
-        #: synchronized (see :mod:`repro.oracle.audit`).
+        #: ``VerifierConfig.audit``, fixed at construction): each
+        #: assign/backjump checks the trail entries it pushed/popped, and
+        #: :meth:`proof_data` the whole state (:mod:`repro.oracle.audit`).
         from repro.oracle.audit import audit_enabled as _audit_enabled
 
         self.audit = _audit_enabled()
+        if self.audit:
+            # Shadowed on this instance, so the unaudited callbacks run
+            # no audit test at all.
+            self.assign = self._audited_assign
+            self.backjump = self._audited_backjump
         if hasattr(self.detector, "on_reorder"):
             self.detector.on_reorder = self._note_reorder
         self._edge_of_var: Dict[int, Edge] = {}
@@ -254,8 +258,6 @@ class OrderingTheory(Theory):
         if edge is None or edge.active:
             return result
         self._activate(edge, level, result)
-        if self.audit:
-            self._audit_check()
         return result
 
     def backjump(self, level: int) -> None:
@@ -270,20 +272,37 @@ class OrderingTheory(Theory):
             elif edge.kind == EdgeKind.WS:
                 popped = self._out_ws[edge.src].pop()
                 assert popped is edge
-        if self.audit:
-            self._audit_check()
 
     def proof_data(self):
+        """The audit's proof data.  Asked for at the end of every audited
+        solve, where the whole state is checked once per solve."""
+        if self.audit:
+            from repro.oracle.audit import check_icd_labels, check_theory_sync
+
+            if self._ordered:
+                check_icd_labels(self.graph)
+            check_theory_sync(self)
         edges = {v: (e.kind, e.src, e.dst) for v, e in self._edge_of_var.items()}
         return edges, self._po_edges
 
-    def _audit_check(self) -> None:
-        """Invariant audit step (opt-in; see :mod:`repro.oracle.audit`)."""
-        from repro.oracle.audit import check_icd_labels, check_theory_sync
+    def _audited_assign(self, lit: int, level: int) -> TheoryResult:
+        """:meth:`assign`, then the audit's check of the trail entries it
+        pushed (:func:`repro.oracle.audit.check_theory_push`)."""
+        from repro.oracle.audit import check_theory_push
 
-        if isinstance(self.detector, IncrementalCycleDetector):
-            check_icd_labels(self.graph)
-        check_theory_sync(self)
+        mark, n_active = len(self._trail), self.graph.n_active_edges
+        result = type(self).assign(self, lit, level)
+        check_theory_push(self, mark, n_active, level)
+        return result
+
+    def _audited_backjump(self, level: int) -> None:
+        """:meth:`backjump`, then the audit's check of the trail entries
+        it popped (:func:`repro.oracle.audit.check_theory_pop`)."""
+        from repro.oracle.audit import check_theory_pop
+
+        trail, n_active = list(self._trail), self.graph.n_active_edges
+        type(self).backjump(self, level)
+        check_theory_pop(self, trail[len(self._trail):], n_active, level)
 
     # ------------------------------------------------------------------
     # Core activation
@@ -409,14 +428,7 @@ class OrderingTheory(Theory):
             )
             negated = sorted({-l for l in path_lits}, reverse=True)
             for var in live:
-                reason_clause = [-var] + negated
-                if self.audit:
-                    from repro.oracle.audit import check_unit_edge_reason
-
-                    check_unit_edge_reason(
-                        self, new_edge, self._edge_of_var[var], reason_clause
-                    )
-                props.append((-var, reason_clause))
+                props.append((-var, [-var] + negated))
             self.stats.unit_propagations += len(live)
 
     def _refresh_candidates(self) -> None:

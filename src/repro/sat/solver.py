@@ -952,11 +952,6 @@ class Solver:
     # Assignment management
     # ------------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason=None) -> bool:
-        """Cold-path enqueue (compatibility shim; reasons must be None)."""
-        assert reason is None
-        return self.kernel.enqueue(lit, NO_REASON)
-
     def _backjump(self, level: int) -> None:
         if self.decision_level <= level:
             return

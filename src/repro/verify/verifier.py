@@ -256,6 +256,8 @@ def run_smt_engine(
         stats.update({f"theory_{k}": v for k, v in theory_stats.as_dict().items()})
     stats.update(asdict(encoded.stats))
     stats.update(spans.as_stats())
+    if solver.checker is not None:
+        stats.update(solver.checker.as_stats())
     return VerificationResult(
         _VERDICT[answer], config.name, witness=witness, stats=stats
     )

@@ -1,5 +1,6 @@
-"""The invariant auditor: helper checks, wiring, and the trail-sync
-regression around from-read derivation conflicts."""
+"""The invariant auditor: helper checks, wiring, mutations planted in
+the production callbacks, and the trail-sync regression around from-read
+derivation conflicts."""
 
 import pytest
 
@@ -11,8 +12,8 @@ from repro.oracle.audit import (
     check_icd_labels,
     check_propagation_reason,
     check_theory_sync,
-    check_unit_edge_reason,
 )
+from repro.oracle.certify import ProofChecker
 from repro.ordering import OrderingTheory
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
 from repro.ordering.icd import IncrementalCycleDetector
@@ -39,6 +40,38 @@ def make_theory(n, po_edges, **kw):
     return solver, theory
 
 
+def count_checks(monkeypatch):
+    """Record the name of every ``check_*`` the audit module runs."""
+    import repro.oracle.audit as audit_mod
+
+    calls = []
+    for name in audit_mod.__all__:
+        if name.startswith("check_"):
+            check = getattr(audit_mod, name)
+            monkeypatch.setattr(
+                audit_mod,
+                name,
+                lambda *a, _check=check, _name=name: (
+                    calls.append(_name), _check(*a)
+                )[1],
+            )
+    return calls
+
+
+def reorder_then_backjump(solver, theory):
+    """Two solves that run every theory hook: the RF edge 1 -> 0 goes
+    against the initial labels (an ICD reorder), and the second solve's
+    reset backjumps over it."""
+    a = solver.new_var(relevant=True)
+    theory.add_rf_var(a, 1, 0)
+    assert solver.solve([a]) == SolveResult.SAT
+    assert solver.solve([-a]) == SolveResult.SAT
+
+
+def raised_in(excinfo, function):
+    return any(entry.name == function for entry in excinfo.traceback)
+
+
 class TestAuditEnabled:
     def test_env_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
@@ -56,12 +89,27 @@ class TestAuditEnabled:
         assert VerifierConfig(audit=True).audit is True
 
     def test_audit_scope_reaches_all_layers(self, monkeypatch):
+        """Components built auditing run every hook point: the detector
+        checks each reorder, the theory each assign's pushed and each
+        backjump's popped trail entries, and the end of each solve the
+        whole state; built unaudited they run none."""
+        calls = count_checks(monkeypatch)
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
         solver, theory = make_theory(2, [])
         assert solver.audit is False and theory.audit is False
         with audit_scope(True):
             solver, theory = make_theory(2, [])
         assert solver.audit and theory.audit and theory.detector.audit
+        reorder_then_backjump(solver, theory)
+        assert {
+            "check_icd_reorder",
+            "check_theory_push",
+            "check_theory_pop",
+            "check_icd_labels",
+            "check_theory_sync",
+        } <= set(calls)
+        assert calls.count("check_theory_sync") == 2  # once per solve
+        del calls[:]
         monkeypatch.setenv("REPRO_AUDIT", "1")
         with audit_scope(False):
             assert audit_enabled() is False
@@ -70,24 +118,14 @@ class TestAuditEnabled:
             solver, theory = make_theory(2, [])
         assert not (solver.audit or theory.audit or theory.detector.audit)
         assert audit_enabled() is True
+        reorder_then_backjump(solver, theory)
+        assert calls == []
 
     @pytest.mark.parametrize("audit", [False, True])
     def test_config_overrides_env_both_ways(self, monkeypatch, audit):
         """Under ``REPRO_AUDIT=1`` the components are built auditing;
         the verification's resolved config decides whether they do."""
-        import repro.oracle.audit as audit_mod
-
-        calls = []
-        for name in audit_mod.__all__:
-            if name.startswith("check_"):
-                check = getattr(audit_mod, name)
-                monkeypatch.setattr(
-                    audit_mod,
-                    name,
-                    lambda *a, _check=check, _name=name: (
-                        calls.append(_name), _check(*a)
-                    )[1],
-                )
+        calls = count_checks(monkeypatch)
         monkeypatch.setenv("REPRO_AUDIT", "1")
         result = verify(UNSAFE_SRC, VerifierConfig(audit=audit))
         assert result.verdict == Verdict.UNSAFE
@@ -160,8 +198,10 @@ class TestTheorySync:
 
 
 class TestUnitEdgeReasons:
-    """``check_unit_edge_reason`` accepts real cycles and rejects reasons
-    that name inactive edges, miss a path or drop an FR premise."""
+    """Unit-edge propagation reasons are lemmas: the proof checker accepts
+    real cycles and rejects reasons that miss a path, drop an FR premise
+    or omit the inserted edge; the SAT core's reason check rejects one
+    that names an edge no longer set."""
 
     def _chain(self):
         # RF 0 -> 1, WS 1 -> 2 active; inactive WS 2 -> 0 closes the cycle.
@@ -172,34 +212,37 @@ class TestUnitEdgeReasons:
         theory.add_ws_var(b, 1, 2)
         c = solver.new_var(relevant=True)
         theory.add_ws_var(c, 2, 0)
+        return solver, theory, a, b, c
+
+    def _offered(self):
+        solver, theory, a, b, c = self._chain()
         theory.assign(a, 1)
         res = theory.assign(b, 2)
         assert res.propagations == [(-c, [-c, -a, -b])]
-        return theory, a, b, c
+        return ProofChecker(), theory.proof_data(), a, b, c
 
     def test_real_cycle_passes(self):
-        theory, a, b, c = self._chain()
-        new = theory._edge_of_var[b]
-        check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -a, -b])
+        checker, data, a, b, c = self._offered()
+        checker.check([("theory", [-c, -a, -b])], data)
+        assert checker.lemmas == 1
 
     def test_missing_path_literal_caught(self):
-        theory, a, b, c = self._chain()
-        new = theory._edge_of_var[b]
-        with pytest.raises(AuditError, match="no justified path"):
-            check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -b])
+        checker, data, a, b, c = self._offered()
+        with pytest.raises(AuditError, match="no cycle"):
+            checker.check([("theory", [-c, -b])], data)
 
     def test_inserted_edge_required(self):
-        theory, a, b, c = self._chain()
-        new = theory._edge_of_var[b]
-        with pytest.raises(AuditError, match="omits the inserted edge"):
-            check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -a])
+        checker, data, a, b, c = self._offered()
+        with pytest.raises(AuditError, match="no cycle"):
+            checker.check([("theory", [-c, -a])], data)
 
     def test_inactive_reason_edge_caught(self):
-        theory, a, b, c = self._chain()
-        theory.backjump(1)  # b's edge is gone
-        new = theory._edge_of_var[a]
-        with pytest.raises(AuditError, match="inactive"):
-            check_unit_edge_reason(theory, new, theory._edge_of_var[c], [-c, -a, -b])
+        solver, theory, a, b, c = self._chain()
+        assert solver.solve([a, b]) == SolveResult.SAT
+        check_propagation_reason(solver.value, -c, [-c, -a, -b])
+        solver._backjump(1)  # b's edge is gone
+        with pytest.raises(AuditError, match=f"non-false literal {-b}"):
+            check_propagation_reason(solver.value, -c, [-c, -a, -b])
 
     def test_fr_premise_required(self):
         # RF 0 -> 1 and WS 0 -> 2 derive FR 1 -> 2.  Inserting WS 2 -> 3
@@ -218,18 +261,91 @@ class TestUnitEdgeReasons:
         assert not theory.assign(ws, 2).propagations
         res = theory.assign(n, 3)
         assert res.propagations == [(-x, [-x, -rf, -ws, -n])]
-        new, unit = theory._edge_of_var[n], theory._edge_of_var[x]
-        check_unit_edge_reason(theory, new, unit, [-x, -rf, -ws, -n])
-        with pytest.raises(AuditError, match="no justified path"):
-            check_unit_edge_reason(theory, new, unit, [-x, -rf, -n])
+        checker, data = ProofChecker(), theory.proof_data()
+        checker.check([("theory", [-x, -rf, -ws, -n])], data)
+        with pytest.raises(AuditError, match="no cycle"):
+            checker.check([("theory", [-x, -rf, -n])], data)
 
     def test_stale_candidate_index_caught(self):
-        theory, a, b, c = self._chain()
+        solver, theory, a, b, c = self._chain()
+        theory.assign(a, 1)
+        theory.assign(b, 2)
         theory._refresh_candidates()
         check_theory_sync(theory)
         theory.graph.ord.reverse()  # labels moved behind the index's back
         with pytest.raises(AuditError):
             check_theory_sync(theory)
+
+    def test_dropped_path_literal_fails_the_solve(self, monkeypatch):
+        """End to end: a path reason that drops a literal still gives the
+        SAT core a unit reason, and the checker rejects it at the end of
+        the audited solve."""
+        import repro.ordering.solver as theory_mod
+
+        path_reason = theory_mod.path_reason
+        monkeypatch.setattr(
+            theory_mod, "path_reason", lambda *a: path_reason(*a)[:-1]
+        )
+        with audit_scope(True):
+            solver, theory, a, b, c = self._chain()
+        solver.add_clause([a])
+        solver.add_clause([b])
+        with pytest.raises(AuditError, match="no cycle") as excinfo:
+            solver.solve()
+        assert raised_in(excinfo, "_certify")
+
+
+class _NoAppend(list):
+    def append(self, item):
+        pass
+
+
+class TestPlantedMutations:
+    """Bugs planted in the production callbacks raise at the callback
+    that caused them, through the owner's delta check."""
+
+    def test_reorder_moving_a_label_outside_its_window(self, monkeypatch):
+        reorder = IncrementalCycleDetector._reorder
+
+        def broken(self, back_nodes, fwd_nodes):
+            reorder(self, back_nodes, fwd_nodes)
+            window = back_nodes + fwd_nodes
+            x, y = [n for n in range(self.graph.n) if n not in window][:2]
+            self.graph.ord[x], self.graph.ord[y] = self.graph.ord[y], self.graph.ord[x]
+
+        monkeypatch.setattr(IncrementalCycleDetector, "_reorder", broken)
+        with audit_scope(True):
+            solver, theory = make_theory(4, [])
+        a = solver.new_var(relevant=True)
+        theory.add_rf_var(a, 1, 0)  # against the labels: a reorder
+        with pytest.raises(AuditError, match="outside its window") as excinfo:
+            solver.solve([a])
+        assert raised_in(excinfo, "_audited_assign")
+
+    def test_backjump_leaving_a_popped_edge_active(self, monkeypatch):
+        def broken(self, edge):
+            self.graph.deactivate(edge)
+            self.graph.out[edge.src].append(edge)
+
+        with audit_scope(True):
+            solver, theory = make_theory(2, [])
+        a = solver.new_var(relevant=True)
+        theory.add_rf_var(a, 0, 1)
+        assert solver.solve([a]) == SolveResult.SAT
+        monkeypatch.setattr(IncrementalCycleDetector, "remove_edge", broken)
+        with pytest.raises(AuditError, match="left the popped edge") as excinfo:
+            solver.solve([-a])
+        assert raised_in(excinfo, "_audited_backjump")
+
+    def test_activation_skipping_the_rf_index(self):
+        with audit_scope(True):
+            solver, theory = make_theory(2, [])
+        a = solver.new_var(relevant=True)
+        theory.add_rf_var(a, 0, 1)
+        theory._out_rf[0] = _NoAppend()  # _activate's push is lost
+        with pytest.raises(AuditError, match=r"_out_rf\[0\]") as excinfo:
+            solver.solve([a])
+        assert raised_in(excinfo, "_audited_assign")
 
 
 class TestFrConflictTrailSync:
@@ -353,6 +469,29 @@ class TestEndToEndAudit:
         # The checker keeps its clauses across incremental solves.
         assert solver.solve(assumptions=[b]) == SolveResult.SAT
         assert solver.checker.models == 1
+
+    def test_checker_counters_in_stats(self):
+        """Under audit the proof checker's counters ride along as stats
+        extras, summed over the run's solves: a bug three loop iterations
+        deep is UNSAT at bounds 1 and 2 (two certified answers) and SAT
+        at bound 4 (one model checked)."""
+        from tests.verify.programs import LOOP_SUM_SAFE
+
+        deep_bug = LOOP_SUM_SAFE.replace("x == 3", "x != 3")
+        stats = {}
+        for audit in (False, True):
+            config = VerifierConfig.zord(
+                unwind=4, unwind_schedule=(1, 2, 4), audit=audit
+            )
+            result = verify(deep_bug, config)
+            assert result.verdict == Verdict.UNSAFE
+            stats[audit] = result.stats
+        assert not [k for k in stats[False] if k.startswith("certify_")]
+        assert stats[True]["certify_certified"] == 2
+        assert stats[True]["certify_models"] == 1
+        assert stats[True]["certify_rup"] >= 0
+        assert stats[True]["certify_lemmas"] >= 0
+        assert stats[True]["certify_time_s"] > 0
 
     def test_ablations_pass_audited(self):
         for preset in ("zord", "zord-", "zord'", "zord-tarjan", "cbmc"):

@@ -11,31 +11,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oracle.audit import check_theory_sync
+from repro.oracle.audit import audit_scope, check_theory_sync
+from repro.oracle.certify import ProofChecker
 from repro.ordering import OrderingTheory
 from repro.sat import Solver
 
 
 class _Run:
-    """One theory driven by hand: the test owns the assignment array, as
-    the SAT core would, and falsifies every variable the theory offers."""
+    """One audited theory driven by hand: the test owns the assignment
+    array, as the SAT core would, and falsifies every variable the theory
+    offers; the proof checker accepts every offered reason as a cycle."""
 
     def __init__(self, n, po, edges, detector, fr_propagation):
-        self.theory = OrderingTheory(
-            n, po, detector=detector, fr_propagation=fr_propagation
-        )
+        with audit_scope(True):
+            self.theory = OrderingTheory(
+                n, po, detector=detector, fr_propagation=fr_propagation
+            )
         self.assign = [0] * (len(edges) + 1)
         self.theory.attach(self.assign)
         self.level_of = {}
         for var, (kind, a, b) in enumerate(edges, start=1):
             getattr(self.theory, f"add_{kind}_var")(var, a, b)
+        self.checker = ProofChecker()
+        self.checker.check([], self.theory.proof_data())
         for (lit,) in self.theory.initial_unit_clauses():
             self.set(lit, 0)
 
     def set(self, lit, level):
         self.assign[abs(lit)] = 1 if lit > 0 else -1
         self.level_of[abs(lit)] = level
-        return self.theory.assign(lit, level)
+        res = self.theory.assign(lit, level)
+        self.checker.check([("theory", r) for _, r in res.propagations])
+        return res
 
     def backjump(self, level):
         for var, lvl in list(self.level_of.items()):
@@ -69,8 +76,6 @@ def _drive(rng, n, po, edges, fr_propagation, steps=40):
     runs = {
         d: _Run(n, po, edges, d, fr_propagation) for d in ("icd", "tarjan")
     }
-    for run in runs.values():
-        run.theory.audit = True
     offered = {d: [] for d in runs}
     level = 0
     nvars = len(edges)
