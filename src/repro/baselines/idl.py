@@ -39,6 +39,11 @@ class IdlTheory(Theory):
         self.graph = EventGraph(n_events)
         self.detector = TarjanCycleDetector(self.graph)
         self.stats = TheoryStats()
+        #: Audited (``REPRO_AUDIT=1`` or ``VerifierConfig.audit``, fixed
+        #: at construction): :meth:`proof_data` checks the trail's sync.
+        from repro.oracle.audit import audit_enabled
+
+        self.audit = audit_enabled()
         self._edge_of_var: Dict[int, Edge] = {}
         self._trail: List[Tuple[Edge, int]] = []
         self._po_edges = list(po_edges)
@@ -93,10 +98,16 @@ class IdlTheory(Theory):
         self._trail.append((edge, level))
         return result
 
-    #: Never set: the borrowed :meth:`proof_data` would audit indices
-    #: this theory does not keep.
-    audit = False
-    proof_data = OrderingTheory.proof_data
+    def proof_data(self):
+        """The audit's proof data.  Asked for at the end of every audited
+        solve, where the trail and the event graph are checked to agree
+        (this theory keeps no partner or candidate indices)."""
+        if self.audit:
+            from repro.oracle.audit import check_trail_sync
+
+            check_trail_sync(self)
+        edges = {v: (e.kind, e.src, e.dst) for v, e in self._edge_of_var.items()}
+        return edges, self._po_edges
 
     def backjump(self, level: int) -> None:
         trail = self._trail

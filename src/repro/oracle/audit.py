@@ -60,6 +60,7 @@ __all__ = [
     "parse_audit",
     "check_icd_labels",
     "check_icd_reorder",
+    "check_trail_sync",
     "check_theory_sync",
     "check_theory_push",
     "check_theory_pop",
@@ -176,11 +177,12 @@ def check_icd_reorder(graph, old, edge, window) -> None:
 # ----------------------------------------------------------------------
 
 
-def check_theory_sync(theory) -> None:
-    """Trail, active adjacency, RF/WS partner indices and the
-    inactive-edge index all agree, and the unit-edge candidate index
-    agrees with the labels (``theory`` is an
-    :class:`repro.ordering.solver.OrderingTheory`)."""
+def check_trail_sync(theory) -> None:
+    """The trail's levels are monotone and its edges are exactly the
+    active non-program-order edges of the out/in adjacency (``theory``
+    keeps a ``graph`` and a ``_trail`` of ``(edge, level)``: an
+    :class:`repro.ordering.solver.OrderingTheory` or the IDL baseline's
+    :class:`repro.baselines.idl.IdlTheory`)."""
     graph = theory.graph
     trail = theory._trail
     levels = [lvl for _, lvl in trail]
@@ -201,6 +203,16 @@ def check_theory_sync(theory) -> None:
             f"({len(active)}/{len(inc)} edges) and active edge count "
             f"{graph.n_active_edges} disagree"
         )
+
+
+def check_theory_sync(theory) -> None:
+    """Trail, active adjacency, RF/WS partner indices and the
+    inactive-edge index all agree, and the unit-edge candidate index
+    agrees with the labels (``theory`` is an
+    :class:`repro.ordering.solver.OrderingTheory`)."""
+    check_trail_sync(theory)
+    graph = theory.graph
+    trail = theory._trail
     # RF/WS partner indices mirror the trail in activation order.
     for kind in ("rf", "ws"):
         want = [[] for _ in range(graph.n)]

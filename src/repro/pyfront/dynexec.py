@@ -15,10 +15,18 @@ assertion failure concretely, in the stateless-model-checking tradition:
   user file yields control at every bytecode of a shared-access line
   (the translator's ``shared_lines``), so even single-line races like
   ``counter += 1`` -- one ``LOAD``, one ``STORE`` -- are interleavable;
-* at each yield point the scheduler either follows a symbolic witness
-  (thread order + ``random.randint`` values from the model) or flips a
-  seeded coin, and blocking operations (``join``, lock ``acquire``)
-  hand the token over with deadlock detection.
+  at each yield point a seeded coin picks the next thread, and blocking
+  operations (``join``, lock ``acquire``) hand the token over with
+  deadlock detection;
+* the witness-guided trial replays a symbolic witness access by access
+  (:func:`repro.pyfront.witness.witness_guide`): its decision points are
+  the instructions that load or store a shared global, recognised from
+  ``f_lasti`` through a per-code-object ``dis`` table, and lock
+  acquire/release.  A thread performs a witnessed access only when it is
+  the guide's head; in between, threads run freely up to their next
+  access, and ``random.randint`` returns the model's values.  When the
+  run stops matching the guide, the divergence is noted and the trial
+  goes on under the seeded coin.
 
 Trials are deterministic in ``(seed, trial)``.  A trial "confirms" when
 an ``AssertionError`` escapes user code; the failing schedule (thread
@@ -28,15 +36,17 @@ name per scheduling decision) is reported so the run can be replayed.
 from __future__ import annotations
 
 import builtins as _builtins_mod
+import dis
 import random as _random_mod
 import sys
 import threading as _real_threading
 import time
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.pyfront.translate import Translation
+from repro.pyfront.witness import GuideStep, witness_guide
 from repro.verify.witness import Trace
 
 __all__ = ["TrialOutcome", "ConfirmResult", "run_trial", "confirm"]
@@ -45,6 +55,14 @@ __all__ = ["TrialOutcome", "ConfirmResult", "run_trial", "confirm"]
 #: programs, a hard stop for livelocked spin loops.
 _DEFAULT_MAX_STEPS = 50_000
 _DEFAULT_SWITCH_PROB = 0.35
+
+#: Instructions that read or write a name, by access kind.
+_ACCESS_KIND = {
+    "LOAD_GLOBAL": "R", "LOAD_NAME": "R",
+    "STORE_GLOBAL": "W", "STORE_NAME": "W",
+}
+#: One shared access an instruction performs: (R/W, global name).
+_Access = Tuple[str, str]
 
 
 class _TrialAbort(BaseException):
@@ -63,6 +81,11 @@ class TrialOutcome:
     deadlocked: bool = False
     exhausted: bool = False  # step budget ran out (livelock guard)
     schedule: Tuple[str, ...] = ()  # thread chosen at each decision
+    #: Guided trial: "diverged at step k of n: why" once the run stopped
+    #: matching the witness ("" while it matched).
+    divergence: str = ""
+    #: Guided trial: the witness accesses replayed, as (thread, R/W, name).
+    replayed: Tuple[Tuple[str, str, str], ...] = ()
 
 
 @dataclass
@@ -88,9 +111,10 @@ class _Scheduler:
     """Token-passing cooperative scheduler over real threads.
 
     Exactly one registered thread holds the token (``self.current``).
-    Threads yield at trace-hook pause points and at blocking operations;
-    the scheduler picks the successor -- witness-guided when a guide
-    sequence is set, seeded-random otherwise.
+    Threads yield at trace-hook pause points, at blocking operations
+    and, in a guided trial, at shared accesses; the scheduler picks the
+    successor -- by the witness guide while the run matches it,
+    seeded-random otherwise.
     """
 
     def __init__(
@@ -99,6 +123,7 @@ class _Scheduler:
         switch_prob: float,
         max_steps: int,
         deadline: float,
+        guide: Sequence[GuideStep] = (),
     ) -> None:
         self.cond = _real_threading.Condition()
         self.rng = rng
@@ -114,8 +139,14 @@ class _Scheduler:
         self.outcome = TrialOutcome()
         self.steps = 0
         self.schedule: List[str] = []
-        #: Witness guidance: remaining thread names, consumed greedily.
-        self.guide: List[str] = []
+        #: Witness guidance: the accesses still to replay, in order.
+        self.guide: List[GuideStep] = list(guide)
+        self.guide_total = len(self.guide)
+        #: True while the run matches a non-empty guide.
+        self.guided = bool(self.guide)
+        #: Threads waiting at a witnessed access for their turn.
+        self.parked: set = set()
+        self.replayed: List[Tuple[str, str, str]] = []
 
     # Callers hold ``self.cond``.
 
@@ -141,23 +172,73 @@ class _Scheduler:
                 raise _TrialAbort()
         if not runnable:  # tid itself is the only choice
             return tid
-        # Witness guidance: head for the next guided thread that can run.
-        while self.guide:
-            want = self.guide[0]
-            if want in self.finished or want not in self.registered:
-                self.guide.pop(0)
-                continue
-            if want in runnable:
-                if want == tid and at_yield_point:
-                    self.guide.pop(0)  # tid performs the guided access
-                    return tid
-                return want
-            break  # wanted thread exists but cannot run yet
+        if self.guided:
+            nxt = self._guided_choice(tid, runnable)
+            if nxt is not None:
+                return nxt
         if tid in runnable and (
             not at_yield_point or self.rng.random() >= self.switch_prob
         ):
             return tid
         return self.rng.choice(runnable)
+
+    def _guided_choice(
+        self, tid: Optional[str], runnable: List[str]
+    ) -> Optional[str]:
+        """The thread that moves the guide on: its head's thread if it
+        can run, else a thread that is not parked (it runs up to its
+        next access); None once the guide cannot be followed."""
+        head = self.guide[0].thread
+        if head in runnable:
+            return head
+        if head in self.finished:
+            return self._diverge(f"{head} has finished")
+        free = [t for t in runnable if t not in self.parked]
+        if tid in free:
+            return tid
+        if free:
+            return free[0]
+        state = "is blocked" if head in self.started else "has not started"
+        return self._diverge(
+            f"no thread can reach its next access ({head} {state})"
+        )
+
+    def _diverge(self, why: str) -> None:
+        """The run no longer matches the guide: note where, drop it."""
+        step = self.guide_total - len(self.guide) + 1
+        self.outcome.divergence = (
+            f"diverged at step {step} of {self.guide_total}: {why}"
+        )
+        self.guide.clear()
+        self.guided = False
+        return None
+
+    def _match(
+        self, tid: str, kind: str, loc: str, line: Optional[int]
+    ) -> Optional[int]:
+        """Index in the guide of the entry ``tid``'s access replays.
+
+        The model evaluates both sides of ``and``/``or`` and reads the
+        middle of a chained comparison twice, so witnessed reads the
+        thread did not perform are dropped on the way to the match.
+        """
+        skipped: List[int] = []
+        for i, step in enumerate(self.guide):
+            if step.thread != tid:
+                continue
+            if step.kind == kind and step.loc == loc and (
+                line is None or step.line == line
+            ):
+                for j in reversed(skipped):
+                    del self.guide[j]
+                return i - len(skipped)
+            if step.kind != "R":
+                break
+            skipped.append(i)
+        where = "" if line is None else f" at line {line}"
+        return self._diverge(
+            f"{tid} {kind} {loc}{where} is not its next witnessed access"
+        )
 
     def _switch_to(self, nxt: str, tid: str) -> None:
         if nxt != self.current:
@@ -175,6 +256,16 @@ class _Scheduler:
             self.outcome.exhausted = True
             self._do_abort()
             raise _TrialAbort()
+
+    def _count_step(self) -> None:
+        if self.abort:
+            raise _TrialAbort()
+        self.steps += 1
+        if self.steps > self.max_steps:
+            self.outcome.exhausted = True
+            self._do_abort()
+            raise _TrialAbort()
+        self._check_deadline()
 
     def _do_abort(self) -> None:
         self.abort = True
@@ -202,16 +293,54 @@ class _Scheduler:
     def pause(self, tid: str) -> None:
         """A preemption point: maybe hand the token to another thread."""
         with self.cond:
-            if self.abort:
-                raise _TrialAbort()
-            self.steps += 1
-            if self.steps > self.max_steps:
-                self.outcome.exhausted = True
-                self._do_abort()
-                raise _TrialAbort()
-            self._check_deadline()
+            self._count_step()
             nxt = self._choose(tid, at_yield_point=True)
             self._switch_to(nxt, tid)
+
+    def access(
+        self,
+        tid: str,
+        kind: str,
+        loc: str,
+        line: Optional[int],
+        peek: Optional[Callable[[], int]] = None,
+    ) -> None:
+        """``tid`` is about to read or write ``loc``; ``peek`` gives the
+        value a read would see now.
+
+        In a guided trial the access waits until its witness step heads
+        the guide and then consumes it; ``line`` None matches any line
+        (lock operations).  Outside guidance this is a no-op.
+        """
+        with self.cond:
+            if not self.guided:
+                return
+            self._count_step()
+            while self.guided:
+                i = self._match(tid, kind, loc, line)
+                if i is None:
+                    return
+                if i == 0:
+                    step = self.guide[0]
+                    value = None if peek is None else peek()
+                    if value is not None and value != step.value:
+                        self._diverge(
+                            f"{tid} read {loc} = {value}, the witness "
+                            f"read {step.value}"
+                        )
+                        return
+                    self.guide.pop(0)
+                    self.replayed.append((tid, kind, loc))
+                    self.guided = bool(self.guide)
+                    return
+                self.parked.add(tid)
+                try:
+                    nxt = self._choose(tid, at_yield_point=False)
+                    if nxt == tid and self.guided:
+                        self._diverge("no thread can reach its next access")
+                    self._switch_to(nxt, tid)
+                finally:
+                    self.parked.discard(tid)
 
     def block_until(self, tid: str, pred: Callable[[], bool]) -> None:
         """Yield the token until ``pred`` holds (join / lock acquire)."""
@@ -232,23 +361,21 @@ class _Scheduler:
             self.finished.add(tid)
             if self.abort:
                 return
+            if self.guided and all(
+                s.kind == "R" for s in self.guide if s.thread == tid
+            ):  # witnessed reads the thread skipped (see ``_match``)
+                self.guide = [s for s in self.guide if s.thread != tid]
+                self.guided = bool(self.guide)
             runnable = self._runnable(exclude=tid)
             if runnable:
-                nxt = self._choose_after_finish(runnable)
+                nxt = None
+                if self.guided:
+                    nxt = self._guided_choice(None, runnable)
+                if nxt is None:
+                    nxt = self.rng.choice(runnable)
                 self.current = nxt
                 self.schedule.append(nxt)
             self.cond.notify_all()
-
-    def _choose_after_finish(self, runnable: List[str]) -> str:
-        while self.guide:
-            want = self.guide[0]
-            if want in self.finished or want not in self.registered:
-                self.guide.pop(0)
-                continue
-            if want in runnable:
-                return want
-            break
-        return self.rng.choice(runnable)
 
     def record_failure(self, message: str, line: Optional[int]) -> None:
         with self.cond:
@@ -271,10 +398,16 @@ class _Scheduler:
 
 
 class _ShimLock:
-    """A scheduler-aware threading.Lock/RLock stand-in."""
+    """A scheduler-aware threading.Lock/RLock stand-in.
 
-    def __init__(self, sched: _Scheduler, reentrant: bool) -> None:
-        self._sched = sched
+    The model's lock is a shared cell: acquiring reads 0 and writes 1,
+    releasing writes 0 (re-entry into an RLock is invisible to it), so
+    those are the lock's witnessed accesses.
+    """
+
+    def __init__(self, runner: "_Runner", reentrant: bool) -> None:
+        self._runner = runner
+        self._sched = runner.sched
         self._reentrant = reentrant
         self._holder: Optional[str] = None
         self._count = 0
@@ -284,6 +417,12 @@ class _ShimLock:
         if self._reentrant and self._holder == tid:
             self._count += 1
             return True
+        if self._sched.guided:
+            name = self._runner.global_name(self)
+            self._sched.access(
+                tid, "R", name, None, lambda: int(self._holder is not None)
+            )
+            self._sched.access(tid, "W", name, None)
         self._sched.block_until(tid, lambda: self._holder is None)
         self._holder = tid
         self._count = 1
@@ -293,6 +432,9 @@ class _ShimLock:
         tid = _current_tid()
         if self._holder != tid:
             raise RuntimeError("release of un-acquired lock")
+        if self._count == 1 and self._sched.guided:
+            name = self._runner.global_name(self)
+            self._sched.access(tid, "W", name, None)
         self._count -= 1
         if self._count == 0:
             self._holder = None
@@ -324,7 +466,6 @@ class _ShimThread:
         self._real = _real_threading.Thread(
             target=self._run, name=f"dynexec:{self.tid}", daemon=True
         )
-        runner.real_threads.append(self._real)
 
     def _run(self) -> None:
         _tls.tid = self.tid
@@ -351,6 +492,7 @@ class _ShimThread:
         sched = self._runner.sched
         sched.mark_started(self.tid)
         self._real.start()
+        self._runner.real_threads.append(self._real)
         # Starting is itself a decision point: the child may run first.
         sched.pause(_current_tid())
 
@@ -392,9 +534,14 @@ class _Runner:
         self.nondet_hints = nondet_hints
         self._thread_counter = 0
         self.shared_lines = translation.shared_lines
-        #: Real OS threads spawned by shim Threads, for end-of-trial
+        self.shared_globals = frozenset(translation.shared_globals)
+        #: Real OS threads started by shim Threads, for end-of-trial
         #: cleanup (stragglers are aborted, never leaked across trials).
         self.real_threads: List[_real_threading.Thread] = []
+        #: The exec'ed module's globals (set by :func:`run_trial`).
+        self.globals: Dict[str, object] = {}
+        #: code object -> {instruction offset: (R/W, shared global)}.
+        self._access_tables: Dict[types.CodeType, Dict[int, _Access]] = {}
 
     def next_thread_name(self) -> str:
         order = self.translation.thread_order
@@ -404,6 +551,25 @@ class _Runner:
             return order[idx].name
         return f"thread{idx}"
 
+    def global_name(self, obj: object) -> str:
+        """The module global bound to ``obj`` (a lock's Python name)."""
+        for name in self.translation.locks:
+            if self.globals.get(name) is obj:
+                return name
+        return "?"
+
+    def _accesses(self, code: types.CodeType) -> Dict[int, _Access]:
+        table = self._access_tables.get(code)
+        if table is None:
+            table = {
+                ins.offset: (_ACCESS_KIND[ins.opname], ins.argval)
+                for ins in dis.get_instructions(code)
+                if ins.opname in _ACCESS_KIND
+                and ins.argval in self.shared_globals
+            }
+            self._access_tables[code] = table
+        return table
+
     # -- the per-thread trace function ---------------------------------
 
     def trace_fn(self, frame, event, arg):
@@ -412,8 +578,21 @@ class _Runner:
         frame.f_trace_opcodes = True
         if event == "opcode" or event == "line":
             if frame.f_lineno in self.shared_lines:
-                self.sched.pause(_current_tid())
+                if not self.sched.guided:
+                    self.sched.pause(_current_tid())
+                elif event == "opcode":
+                    self._guided_access(frame)
         return self.trace_fn
+
+    def _guided_access(self, frame) -> None:
+        """Hand the shared load or store about to run to the guide."""
+        access = self._accesses(frame.f_code).get(frame.f_lasti)
+        if access is None:
+            return
+        kind, name = access
+        glb = frame.f_globals
+        peek = (lambda: glb.get(name)) if kind == "R" else None
+        self.sched.access(_current_tid(), kind, name, frame.f_lineno, peek)
 
     # -- shim module construction --------------------------------------
 
@@ -428,8 +607,8 @@ class _Runner:
             return _ShimThread(runner, target)
 
         threading_mod.Thread = _Thread
-        threading_mod.Lock = lambda: _ShimLock(runner.sched, reentrant=False)
-        threading_mod.RLock = lambda: _ShimLock(runner.sched, reentrant=True)
+        threading_mod.Lock = lambda: _ShimLock(runner, reentrant=False)
+        threading_mod.RLock = lambda: _ShimLock(runner, reentrant=True)
 
         random_mod = types.ModuleType("random")
 
@@ -441,11 +620,6 @@ class _Runner:
 
         random_mod.randint = _randint
         return {"threading": threading_mod, "random": random_mod}
-
-
-def _guide_from_witness(trace: Trace) -> List[str]:
-    """The witness's thread sequence, collapsed per shared access."""
-    return [step.thread for step in trace.steps]
 
 
 def _hints_from_witness(trace: Trace) -> Dict[str, List[int]]:
@@ -467,18 +641,18 @@ def run_trial(
 ) -> TrialOutcome:
     """One concrete execution of the program under the scheduler.
 
-    With ``witness``, scheduling follows the witness's thread order and
-    ``random.randint`` returns the model's nondet values; otherwise both
-    are seeded-random.  Deterministic in all arguments.
+    With ``witness``, the run replays the witness's shared accesses in
+    order and ``random.randint`` returns the model's nondet values; where
+    the run stops matching, ``divergence`` says so and scheduling goes
+    on seeded-random.  Deterministic in all arguments.
     """
     rng = _random_mod.Random(seed)
+    guide = witness_guide(translation, witness) if witness is not None else ()
     sched = _Scheduler(
-        rng, switch_prob, max_steps, time.monotonic() + deadline_s
+        rng, switch_prob, max_steps, time.monotonic() + deadline_s, guide
     )
     hints = _hints_from_witness(witness) if witness is not None else {}
     runner = _Runner(translation, sched, hints)
-    if witness is not None:
-        sched.guide = _guide_from_witness(witness)
 
     modules = runner.make_modules()
     real_import = __import__
@@ -497,6 +671,7 @@ def run_trial(
         "__file__": translation.path,
         "__builtins__": builtins_dict,
     }
+    runner.globals = glb
     code = compile(translation.source, translation.path, "exec")
 
     sched.register("main")
@@ -541,6 +716,7 @@ def run_trial(
     for t in runner.real_threads:
         t.join(timeout=2.0)
     sched.outcome.schedule = tuple(sched.schedule)
+    sched.outcome.replayed = tuple(sched.replayed)
     return sched.outcome
 
 
@@ -555,7 +731,8 @@ def confirm(
 ) -> ConfirmResult:
     """Search for a concrete assertion failure.
 
-    Trial -1 (when a witness is given) is guided by the witness; the
+    Trial -1 (when a witness is given) replays the witness access by
+    access, and its divergence, if any, is noted in ``problems``; the
     remaining ``trials`` executions explore randomized schedules, each
     deterministic in ``(seed, trial index)``.  Stops at the first
     failing execution.
@@ -569,6 +746,8 @@ def confirm(
             deadline_s=deadline_s,
         )
         run += 1
+        if outcome.divergence:
+            problems.append(f"guided trial {outcome.divergence}")
         if outcome.failed:
             return ConfirmResult(True, run, -1, outcome, problems)
         if outcome.error:

@@ -93,6 +93,9 @@ class Translation:
         shared_globals: names of the shared int globals.
         locks: names of the mutex globals (``rlocks`` is the reentrant
             subset).
+        mini_names: Python name -> mini-language identifier for every
+            global, lock and thread variable (they differ where a
+            Python name is a mini keyword: ``lock`` becomes ``lock_``).
     """
 
     program: mast.Program
@@ -103,6 +106,7 @@ class Translation:
     shared_globals: Tuple[str, ...] = ()
     locks: Tuple[str, ...] = ()
     rlocks: Tuple[str, ...] = ()
+    mini_names: Dict[str, str] = field(default_factory=dict)
 
     def python_line(self, lineno: int) -> str:
         """The raw source line at 1-based ``lineno`` (empty if absent)."""
@@ -303,6 +307,7 @@ class _Translator:
             shared_globals=tuple(self.shared),
             locks=tuple(self.lock_names),
             rlocks=tuple(sorted(self.rlock_names)),
+            mini_names=dict(self._mini_idents),
         )
 
     def _check(self, program: mast.Program) -> None:

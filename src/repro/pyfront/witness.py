@@ -25,7 +25,13 @@ from repro.frontend.ssa import build_symbolic_program
 from repro.pyfront.translate import Translation
 from repro.verify.witness import Trace, TraceStep
 
-__all__ = ["AnnotatedStep", "annotate_witness", "witness_python_lines"]
+__all__ = [
+    "AnnotatedStep",
+    "GuideStep",
+    "annotate_witness",
+    "witness_guide",
+    "witness_python_lines",
+]
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,36 @@ def annotate_witness(
                 AnnotatedStep(step, line, col, translation.python_line(line))
             )
     return out
+
+
+@dataclass(frozen=True)
+class GuideStep:
+    """One shared access the witness-guided concrete trial replays."""
+
+    thread: str
+    kind: str  # R / W
+    loc: str  # the Python name of the shared global or lock
+    line: int  # 1-based Python line of the access
+    value: int  # the value read or written in the witness
+
+
+def witness_guide(translation: Translation, trace: Trace) -> List[GuideStep]:
+    """The witness as the access sequence a concrete run must replay
+    (steps located at :func:`annotate_witness`'s default bounds).
+
+    Only steps with a Python position take part: the main thread's
+    synthesized initial writes have none, and the module-level
+    assignments they stand for are not shared accesses.
+    """
+    python_name = {mini: py for py, mini in translation.mini_names.items()}
+    return [
+        GuideStep(
+            a.step.thread, a.step.kind,
+            python_name.get(a.step.addr, a.step.addr), a.line, a.step.value,
+        )
+        for a in annotate_witness(translation, trace)
+        if a.line is not None
+    ]
 
 
 def witness_python_lines(

@@ -13,6 +13,7 @@ from repro.oracle.audit import (
     check_propagation_reason,
     check_theory_sync,
 )
+from repro.baselines.idl import IdlTheory
 from repro.oracle.certify import ProofChecker
 from repro.ordering import OrderingTheory
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
@@ -346,6 +347,36 @@ class TestPlantedMutations:
         with pytest.raises(AuditError, match=r"_out_rf\[0\]") as excinfo:
             solver.solve([a])
         assert raised_in(excinfo, "_audited_assign")
+
+    def test_idl_backjump_leaving_a_popped_edge_active(self, monkeypatch):
+        """The IDL baseline (the ``cbmc`` preset's theory) has no
+        per-callback checks; its trail's sync is checked once per
+        audited solve, from the proof data it hands the checker."""
+        def broken(self, level):
+            while self._trail and self._trail[-1][1] > level:
+                self._trail.pop()  # the edge stays in graph.out
+
+        with audit_scope(True):
+            theory = IdlTheory(2, [])
+            solver = Solver(theory)
+        assert theory.audit
+        a = solver.new_var(relevant=True)
+        theory.add_rf_var(a, 0, 1)
+        assert solver.solve([a]) == SolveResult.SAT
+        monkeypatch.setattr(IdlTheory, "backjump", broken)
+        with pytest.raises(AuditError, match="disagree") as excinfo:
+            solver.solve([-a])
+        assert raised_in(excinfo, "_certify")
+
+    def test_idl_audited_verification_checks_the_trail(self, monkeypatch):
+        calls = count_checks(monkeypatch)
+        for src, verdict in (
+            (SAFE_SRC, Verdict.SAFE), (UNSAFE_SRC, Verdict.UNSAFE)
+        ):
+            result = verify(src, VerifierConfig.cbmc(audit=True))
+            assert result.verdict == verdict
+        assert "check_trail_sync" in calls
+        assert "check_theory_sync" not in calls
 
 
 class TestFrConflictTrailSync:

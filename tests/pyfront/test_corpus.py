@@ -9,8 +9,9 @@ verdict must be confirmed **two independent ways**:
    translated mini program and ends in a failed assert
    (:func:`repro.smc.witness_replay.replay_witness`);
 2. *concrete execution* -- the ORIGINAL Python file, run under the
-   cooperative randomized scheduler with opcode-level preemption,
-   concretely raises the AssertionError (:func:`repro.pyfront.dynexec`).
+   cooperative scheduler replaying the witness one shared access at a
+   time, concretely raises the AssertionError on that first, guided
+   trial (:func:`repro.pyfront.dynexec`).
 
 A verdict the engine produces that neither oracle can reproduce would be
 a translation or encoding bug, so both checks are hard assertions.
@@ -58,12 +59,16 @@ def test_expected_verdict(name):
         assert replay_witness(
             translation.program, result.witness, width=8, unwind=8
         ), f"{name}: witness does not replay"
-        # Confirmation 2: the real Python program concretely fails under
-        # the randomized scheduler (guided trial first, then random).
+        # Confirmation 2: the real Python program concretely fails when
+        # it replays the witness access by access (the guided trial).
         outcome = confirm(
             translation, witness=result.witness, trials=120, seed=0
         )
         assert outcome.confirmed, (
             f"{name}: not reproduced concretely in "
             f"{outcome.trials_run} trials: {outcome.problems}"
+        )
+        assert (outcome.failing_trial, outcome.trials_run) == (-1, 1), (
+            f"{name}: the witness-guided trial did not confirm: "
+            f"{outcome.problems}"
         )
