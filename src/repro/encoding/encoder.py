@@ -123,7 +123,12 @@ def encode_program(
         enc.stats.analysis_time_s = prune_plan.build_time_s
 
     # --- rho_va and assume constraints -------------------------------
-    for constraint in sym.constraints:
+    # The encode checkpoints are spaced so that a few hundred clauses at
+    # most reach the solver between two of them: a deadline that expires
+    # while encoding is then noticed within about a millisecond.
+    for i, constraint in enumerate(sym.constraints):
+        if i & 0x7 == 0:
+            _robustness_checkpoint("encode")
         blaster.assert_term(constraint)
 
     # --- rho_err ------------------------------------------------------
@@ -171,6 +176,7 @@ def encode_program(
 
         # Read-from variables and RF-Val / RF-Some constraints.
         for r in reads:
+            _robustness_checkpoint("encode")
             g_r = enc.guard_lits[r.eid]
             rf_lits: List[int] = []
             rf_by_read[r.eid] = {}
@@ -259,6 +265,7 @@ def encode_program(
         # the initial unit clauses (guarded shadowing only -- the
         # unconditional case was pruned from the RF candidates above).
         for r in reads:
+            _robustness_checkpoint("encode")
             for w0 in writes:
                 rf = rf_by_read[r.eid].get(w0.eid)
                 if rf is None:
@@ -316,7 +323,9 @@ def encode_program(
                     builder.add_clause([-rf, -ws_a, -ws_b])
 
     # Level-0 unit-edge propagation against the PO skeleton.
-    for clause in theory.initial_unit_clauses():
+    for i, clause in enumerate(theory.initial_unit_clauses()):
+        if i & 0x3FF == 0:
+            _robustness_checkpoint("encode")
         solver.add_clause(clause)
 
     enc.stats.sat_vars = solver.nvars

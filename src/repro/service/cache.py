@@ -38,8 +38,8 @@ operation instead of failing requests.
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import json
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
@@ -78,6 +78,11 @@ def _verdict_from_primary(result: Dict) -> bool:
     if not attempts:
         return True
     return attempts[0].get("status") == "conclusive"
+
+
+def _wire_text(result: Dict) -> str:
+    """The compact JSON text a cache entry is kept as."""
+    return json.dumps(result, separators=(",", ":"))
 
 
 def canonical_source(program: Union[str, ast.Program]) -> str:
@@ -131,9 +136,10 @@ def key_token(key: CacheKey) -> str:
 class VerdictCache:
     """Bounded LRU map from :func:`cache_key` to wire-format results.
 
-    Thread-safe; entries are deep-copied on both :meth:`put` and
-    :meth:`get`, so callers can annotate returned dicts (``cache_hit``,
-    queue timings) without corrupting the stored verdict.
+    Thread-safe.  Entries are kept as their wire JSON text, encoded once
+    by :meth:`put`; :meth:`get` decodes a fresh dict per call, so callers
+    can annotate what they get (``cache_hit``, queue timings) without
+    corrupting the stored verdict, and nothing is ever deep-copied.
 
     With ``cache_dir`` set, entries additionally live in a crash-safe
     journal under that directory and survive restarts: construction
@@ -152,7 +158,7 @@ class VerdictCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, Dict]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, str]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -170,7 +176,7 @@ class VerdictCache:
                     self.store.discarded_records += 1
                     continue
                 with self._lock:
-                    self._entries[key] = result
+                    self._entries[key] = _wire_text(result)
                     self._entries.move_to_end(key)
                     while len(self._entries) > self.max_entries:
                         self._entries.popitem(last=False)
@@ -181,16 +187,17 @@ class VerdictCache:
     def get(self, key: CacheKey) -> Optional[Dict]:
         """The cached wire result for ``key`` (a private copy), or None."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            text = self._entries.get(key)
+            if text is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return copy.deepcopy(entry)
+        return json.loads(text)
 
-    def put(self, key: CacheKey, result: Dict) -> bool:
-        """Store a wire-format result; returns whether it was cached.
+    def put(self, key: CacheKey, result: Dict) -> Optional[str]:
+        """Store a wire-format result; returns the stored wire JSON text
+        (decode it for a private copy), or None when it was refused.
 
         Inconclusive results are rejected: an UNKNOWN reflects the budget
         of the run that produced it and an ERROR a (possibly transient)
@@ -202,11 +209,12 @@ class VerdictCache:
         SAFE answer for a full SMT solve.
         """
         if result.get("verdict") not in _CACHEABLE:
-            return False
+            return None
         if not _verdict_from_primary(result):
-            return False
+            return None
+        text = _wire_text(result)
         with self._lock:
-            self._entries[key] = copy.deepcopy(result)
+            self._entries[key] = text
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -214,16 +222,14 @@ class VerdictCache:
         if self.store is not None:
             # Outside the entry lock: an fsync must not stall readers.
             self.store.append(key, result, cache=self)
-        return True
+        return text
 
     def entries_for_snapshot(self) -> List[Tuple[CacheKey, Dict]]:
         """A point-in-time copy of the live table, LRU order preserved
         (compaction input)."""
         with self._lock:
-            return [
-                (key, copy.deepcopy(result))
-                for key, result in self._entries.items()
-            ]
+            entries = list(self._entries.items())
+        return [(key, json.loads(text)) for key, text in entries]
 
     def compact(self) -> bool:
         """Force a journal compaction now (no-op without persistence)."""

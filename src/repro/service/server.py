@@ -12,9 +12,13 @@ per request in completion order.
 
 Request lifecycle for ``verify``:
 
-1. the program is parsed and canonicalized; together with the config's
-   encoding signature this addresses the verdict cache -- a hit answers
-   immediately with ``cache_hit=true`` and no worker involved;
+1. the request is looked up in the *submission index*, which maps the
+   exact submitted bytes (with language, Python filename and config
+   signature) to the cache key they derived before; only a request not
+   seen before is translated (Python), parsed and canonicalized.  The
+   canonical form plus the config's encoding signature addresses the
+   verdict cache -- a hit answers immediately with ``cache_hit=true`` and
+   no worker involved;
 2. single-flight coalescing: if an identical request (same cache key) is
    already computing, the new one awaits that job's clean result instead
    of submitting a second -- pipelined duplicates cost one worker job and
@@ -53,17 +57,25 @@ draining or with no live workers) expose the state to probes.
 from __future__ import annotations
 
 import asyncio
-import copy
+import hashlib
+import json
 import os
 import signal
 import sys
 import threading
 import time
-from typing import Any, Dict, Optional
+from collections import OrderedDict
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.robustness.faults import DropConnection, fault_point
 from repro.service import protocol
-from repro.service.cache import VerdictCache, cache_key, key_token
+from repro.service.cache import (
+    CacheKey,
+    VerdictCache,
+    cache_key,
+    config_signature,
+    key_token,
+)
 from repro.service.checkpoints import CHECKPOINT_DIR_NAME
 from repro.service.workers import WorkerPool
 from repro.verify.config import VerifierConfig
@@ -125,9 +137,16 @@ class ServiceServer:
         #: Bound TCP port once listening (useful with port 0 in tests).
         self.tcp_port: Optional[int] = None
         self._shutdown: Optional[asyncio.Event] = None
-        # Single-flight table: cache key -> future resolving to the clean
-        # (conclusive) result of the in-flight job, or None.
+        # Single-flight table: cache key -> future resolving to the wire
+        # JSON text of the in-flight job's clean (conclusive) result, or
+        # None.
         self._inflight: Dict[Any, "asyncio.Future"] = {}
+        # Submission index, an LRU bounded like the cache: (language,
+        # Python filename, source sha256, config signature) -> (cache key,
+        # translated mini source for Python, else None).  Filled only by
+        # a successful derivation; never persisted.
+        self._submissions: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self.submission_hits = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -457,6 +476,8 @@ class ServiceServer:
             "jobs_total": self.jobs_total,
             "jobs_shed": self.jobs_shed,
             "jobs_coalesced": self.jobs_coalesced,
+            "submission_hits": self.submission_hits,
+            "submission_entries": len(self._submissions),
             "protocol_errors": self.protocol_errors,
             "protocol": protocol.PROTOCOL_VERSION,
             "draining": int(self.draining),
@@ -546,9 +567,6 @@ class ServiceServer:
             return protocol.error_response(
                 request_id, "verify needs a string 'source'"
             )
-        from repro.lang.lexer import LexError
-        from repro.lang.parser import ParseError
-
         try:
             config = (
                 VerifierConfig.from_dict(req["config"])
@@ -558,48 +576,38 @@ class ServiceServer:
         except ValueError as exc:
             return protocol.error_response(request_id, f"bad config: {exc}")
         language = req.get("language") or "mini"
-        if language == "python":
-            # Translate up front, on the event loop: the workers only
-            # ever see mini-language source, so a program outside the
-            # Python subset can never crash (or even reach) a worker.
-            # Subset violations are a *structured* ERROR verdict with
-            # the offending file:line:col, not a protocol error -- the
-            # submitting program was understood, just not verifiable.
-            from repro.lang.unparse import unparse
-            from repro.pyfront import SubsetError, translate_source
-
-            filename = req.get("filename") or "<python>"
-            try:
-                translation = translate_source(source, filename=str(filename))
-            except SubsetError as exc:
-                self.jobs_total += 1
-                result = VerificationResult(
-                    Verdict.ERROR,
-                    config.name,
-                    diagnostic=f"python subset: {exc}",
-                    stats=normalize_stats({"reason": "subset-error"}),
-                ).to_dict()
-                self._annotate(result, cache_hit=False, queue_wait_s=0.0)
-                return self._verify_response(
-                    request_id, result, cache_hit=False
-                )
-            # From here on the job is indistinguishable from a mini-
-            # language submission: the cache key is the canonical
-            # *translated* form, so differently-formatted Python files
-            # sharing a translation share cache entries (and entries
-            # with CLI-side verify-py runs routed through the client).
-            source = unparse(translation.program)
-        elif language != "mini":
+        if language not in ("mini", "python"):
             return protocol.error_response(
                 request_id, f"unknown language {language!r} "
                 "(supported: 'mini', 'python')"
             )
-        try:
-            key = cache_key(source, config)
-        except (LexError, ParseError) as exc:
-            return protocol.error_response(
-                request_id, f"{type(exc).__name__}: {exc}"
+        filename = (
+            str(req.get("filename") or "<python>")
+            if language == "python" else None
+        )
+        submission = (
+            language,
+            filename,
+            hashlib.sha256(source.encode("utf-8", "surrogatepass")).digest(),
+            config_signature(config),
+        )
+        indexed = self._submissions.get(submission)
+        if indexed is not None:
+            # A byte-identical resubmission: no translation, no parse.
+            self._submissions.move_to_end(submission)
+            self.submission_hits += 1
+        else:
+            indexed = self._derive_key(
+                request_id, language, source, filename, config
             )
+            if isinstance(indexed, dict):
+                return indexed  # the answer to an input error
+            self._submissions[submission] = indexed
+            while len(self._submissions) > self.cache.max_entries:
+                self._submissions.popitem(last=False)
+        key, translated = indexed
+        if translated is not None:
+            source = translated  # workers never see Python source
         self.jobs_total += 1
 
         if self.draining:
@@ -640,7 +648,7 @@ class ServiceServer:
                 )
             if shared is not None:
                 self.jobs_coalesced += 1
-                result = copy.deepcopy(shared)
+                result = json.loads(shared)
                 self._annotate(result, cache_hit=True, queue_wait_s=0.0)
                 return self._verify_response(request_id, result, cache_hit=True)
             # The in-flight job ended without a shareable (conclusive)
@@ -662,7 +670,7 @@ class ServiceServer:
 
         waiter = asyncio.get_running_loop().create_future()
         self._inflight[key] = waiter
-        clean: Optional[Dict] = None
+        clean: Optional[str] = None
         try:
             ckpt_token = (
                 key_token(key) if self._checkpoint_dir is not None else None
@@ -699,10 +707,9 @@ class ServiceServer:
                 result = payload["result"]
                 # Conclusive verdicts are cached *before* annotation so the
                 # stored entry is a clean verdict, not this request's
-                # timings; the same clean copy resolves the single-flight
+                # timings; its stored wire text resolves the single-flight
                 # waiter for any coalesced duplicates.
-                if self.cache.put(key, result):
-                    clean = copy.deepcopy(result)
+                clean = self.cache.put(key, result)
             self._annotate(
                 result,
                 cache_hit=False,
@@ -714,6 +721,57 @@ class ServiceServer:
                 del self._inflight[key]
             if not waiter.done():
                 waiter.set_result(clean)
+
+    def _derive_key(
+        self,
+        request_id: Any,
+        language: str,
+        source: str,
+        filename: Optional[str],
+        config: VerifierConfig,
+    ) -> Union[Dict[str, Any], Tuple[CacheKey, Optional[str]]]:
+        """Derive a submission's cache key: ``(key, translated mini
+        source or None)``, or the response that answers an input error."""
+        from repro.lang.lexer import LexError
+        from repro.lang.parser import ParseError
+
+        translated = None
+        if language == "python":
+            # Translate up front, on the event loop: the workers only
+            # ever see mini-language source, so a program outside the
+            # Python subset can never crash (or even reach) a worker.
+            # Subset violations are a *structured* ERROR verdict with
+            # the offending file:line:col, not a protocol error -- the
+            # submitting program was understood, just not verifiable.
+            from repro.lang.unparse import unparse
+            from repro.pyfront import SubsetError, translate_source
+
+            try:
+                translation = translate_source(source, filename=filename)
+            except SubsetError as exc:
+                self.jobs_total += 1
+                result = VerificationResult(
+                    Verdict.ERROR,
+                    config.name,
+                    diagnostic=f"python subset: {exc}",
+                    stats=normalize_stats({"reason": "subset-error"}),
+                ).to_dict()
+                self._annotate(result, cache_hit=False, queue_wait_s=0.0)
+                return self._verify_response(
+                    request_id, result, cache_hit=False
+                )
+            # From here on the job is indistinguishable from a mini-
+            # language submission: the cache key is the canonical
+            # *translated* form, so differently-formatted Python files
+            # sharing a translation share cache entries (and entries
+            # with CLI-side verify-py runs routed through the client).
+            source = translated = unparse(translation.program)
+        try:
+            return cache_key(source, config), translated
+        except (LexError, ParseError) as exc:
+            return protocol.error_response(
+                request_id, f"{type(exc).__name__}: {exc}"
+            )
 
     def _deadline_result(
         self, config: VerifierConfig, deadline_s: float

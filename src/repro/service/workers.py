@@ -31,7 +31,9 @@ from repro.robustness import pool
 __all__ = ["WorkerPool", "run_job"]
 
 #: Fallback pool size: half the machine for solving, capped -- the server
-#: process itself needs headroom for parsing/canonicalization.
+#: process itself needs headroom for the protocol and for deriving the
+#: cache keys of new submissions (repeats hit the submission index and
+#: parse nothing).
 _DEFAULT_SIZE = max(1, min(4, (os.cpu_count() or 2) // 2))
 
 
