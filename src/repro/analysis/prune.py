@@ -3,7 +3,17 @@
 The pruner removes only ordering variables that are **false in every
 model** of the unpruned formula, so the pruned and unpruned encodings
 have exactly the same set of models projected onto the surviving
-variables -- verdict equivalence holds by construction.  Three rules:
+variables -- verdict equivalence holds by construction.  Four rules:
+
+**DEAD-GUARD** (level >= 1).  An event whose guard literal is false at
+level 0 once the program constraints, the error clause and the guards
+are blasted (typically the constant-false literal of a loop iteration
+past a constant trip count) is disabled in every model.  Every RF/WS
+variable touching it implies that guard, so it is false in every model
+too, and a Zord⁻ FR variable over such a pair is never forced true.  The
+encoder drops dead events from its per-address read and write lists;
+every clause it would have built over their variables is satisfied by
+those variables being false.
 
 **PO-WS** (level >= 1).  For a program-order-ordered write pair
 ``w1 ->po w2`` the reverse variable ``ws(w2, w1)`` is already forced
@@ -29,14 +39,15 @@ constant TRUE) to conditional code.
 i.e. ``0 == 1``.  Such variables are pure overhead and are skipped.
 Release writes (value 0) and the init write are *not* pruned as sources.
 
-Levels: 0 = off, 1 = PO/guard rules, 2 = + lock-value rule (default).
+Levels: 0 = off, 1 = dead-guard/PO/guard-shadow rules, 2 = + lock-value
+rule (default).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.lockset import compute_locksets, guard_implies
 from repro.analysis.mhp import program_reachability
@@ -52,9 +63,10 @@ MAX_PRUNE_LEVEL = 2
 class PrunePlan:
     """Precomputed pruning facts consumed by the encoder.
 
-    The encoder consults :meth:`po_ordered` when creating WS variable
-    pairs and :meth:`rf_dead` when creating RF variables; a True answer
-    means "this variable is false in every model -- skip it".
+    The encoder consults :meth:`dead_events` once its guard literals
+    are blasted, :meth:`po_ordered` when creating WS variable pairs and
+    :meth:`rf_dead` when creating RF variables; a True answer means
+    "this variable is false in every model -- skip it".
     """
 
     level: int
@@ -62,6 +74,17 @@ class PrunePlan:
     acquire_reads: Set[int] = field(default_factory=set)
     acquire_writes: Set[int] = field(default_factory=set)
     build_time_s: float = 0.0
+
+    def dead_events(
+        self,
+        guard_lits: Dict[int, int],
+        value: Callable[[int], Optional[bool]],
+    ) -> Set[int]:
+        """Event ids whose guard literal ``value`` (the solver's level-0
+        assignment) reports false: DEAD-GUARD."""
+        if self.level < 1:
+            return set()
+        return {eid for eid, g in guard_lits.items() if value(g) is False}
 
     def po_ordered(self, a: int, b: int) -> bool:
         """True when event ``a`` is PO-before event ``b``."""

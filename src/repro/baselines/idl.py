@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.encoding.encoder import encode_program
+from repro.encoding.ppo import preserved_program_order
 from repro.frontend.program import SymbolicProgram
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
 from repro.ordering.kernel import bounded_backward, path_reason
@@ -126,9 +128,6 @@ class IdlTheory(Theory):
 def encode_program_idl(sym: SymbolicProgram, memory_model: str = "sc"):
     """Encode with the IDL baseline theory: full FR encoding, no theory
     propagation, fresh cycle detection."""
-    from repro.encoding.encoder import encode_program
-    from repro.encoding.ppo import preserved_program_order
-
     ppo = preserved_program_order(sym, memory_model)
     theory = IdlTheory(len(sym.events), ppo)
     return encode_program(sym, fr_encoding=True, theory=theory)

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.encoding.bitblast import BitBlaster
 from repro.encoding.cnf import CnfBuilder
 from repro.encoding import formula as F
+from repro.encoding.ppo import preserved_program_order
 from repro.frontend.program import Event, SymbolicProgram
 from repro.ordering import OrderingTheory
 from repro.robustness import checkpoint as _robustness_checkpoint
@@ -105,8 +106,6 @@ def encode_program(
     """
     _robustness_checkpoint("encode")
     if theory is None:
-        from repro.encoding.ppo import preserved_program_order
-
         theory = OrderingTheory(
             len(sym.events),
             preserved_program_order(sym, memory_model),
@@ -150,29 +149,57 @@ def encode_program(
 
     rf_by_read: Dict[int, Dict[int, int]] = {}  # read eid -> {write eid: var}
 
-    from repro.encoding.formula import TRUE as _TRUE_TERM
-
-    def _definitely_shadowed(w, r, writes) -> bool:
-        """True when an *unconditional* write sits (in preserved program
-        order) between ``w`` and ``r``: the read can never observe ``w``,
-        so no RF candidate is needed (static from-read pruning)."""
+    def _never_read(w, r, unconditional) -> bool:
+        """The baseline RF skips: ``w`` is PO-after ``r``, or one of the
+        address's ``unconditional`` writes sits (in preserved program
+        order) between ``w`` and ``r`` (static from-read pruning).  Either
+        way the read can never observe ``w``, so no RF candidate is
+        needed."""
+        if (po_reach[r.eid] >> w.eid) & 1:
+            return True
         wr = po_reach[w.eid]
-        for w2 in writes:
+        for w2 in unconditional:
             if (
                 w2.eid != w.eid
-                and w2.guard is _TRUE_TERM
                 and (wr >> w2.eid) & 1
                 and (po_reach[w2.eid] >> r.eid) & 1
             ):
                 return True
         return False
 
+    # DEAD-GUARD: events whose guard is false at level 0 get no ordering
+    # variables (see repro.analysis.prune).
+    dead = (
+        prune_plan.dead_events(enc.guard_lits, solver.value)
+        if prune_plan is not None
+        else set()
+    )
+
     for addr in sym.addresses:
         # The RF candidate set is reads x writes and WS is quadratic in
         # writes, so encoding itself can exhaust a budget on wide programs.
         _robustness_checkpoint("encode")
         reads = sym.reads_of(addr)
-        writes = sym.writes_of(addr)
+        all_writes = writes = sym.writes_of(addr)
+        unconditional = [w for w in writes if w.guard is F.TRUE]
+        if dead:
+            # Dead events leave the per-address lists; their candidates
+            # are counted as the other rules' are, after the baseline
+            # skips (each WS pair as two candidates).
+            n_dead = 0
+            for r in reads:
+                r_dead = r.eid in dead
+                for w in all_writes:
+                    if (r_dead or w.eid in dead) and not _never_read(
+                        w, r, unconditional
+                    ):
+                        n_dead += 1
+            reads = [r for r in reads if r.eid not in dead]
+            writes = [w for w in all_writes if w.eid not in dead]
+            n, m = len(all_writes), len(writes)
+            n_dead += n * (n - 1) - m * (m - 1)
+            enc.stats.analysis_pairs_total += n_dead
+            enc.stats.analysis_pairs_pruned += n_dead
 
         # Read-from variables and RF-Val / RF-Some constraints.
         for r in reads:
@@ -181,13 +208,11 @@ def encode_program(
             rf_lits: List[int] = []
             rf_by_read[r.eid] = {}
             for w in writes:
-                if (po_reach[r.eid] >> w.eid) & 1:
-                    continue  # w is PO-after r: can never be read
-                if _definitely_shadowed(w, r, writes):
+                if _never_read(w, r, unconditional):
                     continue
                 enc.stats.analysis_pairs_total += 1
                 if prune_plan is not None and prune_plan.rf_dead(
-                    w, r, writes
+                    w, r, all_writes
                 ):
                     # False in every model (shadowed under guards, or a
                     # lock acquire reading another acquire's stored 1).

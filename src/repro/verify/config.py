@@ -75,11 +75,11 @@ class VerifierConfig:
             quadratic/cubic encoding.
         prune_level: static-analysis encoding pruning for the ``ord``
             theory (see :mod:`repro.analysis.prune`): 0 = off, 1 = the
-            program-order and guard-shadow rules, 2 = + the lock-value
-            rule.  ``None`` (the default) resolves to the ``REPRO_PRUNE``
-            environment variable, falling back to 2.  Pruning only skips
-            ordering variables that are false in every model, so verdicts
-            are identical at every level.
+            dead-guard, program-order and guard-shadow rules, 2 = + the
+            lock-value rule.  ``None`` (the default) resolves to the
+            ``REPRO_PRUNE`` environment variable, falling back to 2.
+            Pruning only skips ordering variables that are false in every
+            model, so verdicts are identical at every level.
         unwind_schedule: iterative-deepening BMC bound schedule (SMT
             engines only).  ``None`` (the default) resolves to the
             ``REPRO_UNWIND_SCHEDULE`` environment variable: unset/empty/

@@ -59,14 +59,13 @@ def _genmc_loader():
 
 
 def _ord_theory_loader():
-    def encode(sym, config):
-        from repro.encoding.encoder import encode_program
+    from repro.analysis.prune import build_prune_plan
+    from repro.encoding.encoder import encode_program
 
+    def encode(sym, config):
         plan = None
         level = getattr(config, "prune_level", 0) or 0
         if level > 0:
-            from repro.analysis.prune import build_prune_plan
-
             plan = build_prune_plan(sym, level)
         return encode_program(
             sym,
@@ -82,9 +81,9 @@ def _ord_theory_loader():
 
 
 def _idl_theory_loader():
-    def encode(sym, config):
-        from repro.baselines.idl import encode_program_idl
+    from repro.baselines.idl import encode_program_idl
 
+    def encode(sym, config):
         return encode_program_idl(sym, memory_model=config.memory_model)
 
     return encode

@@ -90,14 +90,16 @@ def verify_one(
 
     check_program(program)
     chain = resolve_chain(config)
-    # Engine modules are imported on first use: resolve every link's
-    # runner before the budget's clock starts, so no deadline is spent
-    # on an import the result's wall time does not show.
-    runners = {
-        cfg.engine: registry.resolve_engine(cfg.engine)
-        for cfg, _ in chain
-        if cfg is not None
-    }
+    # Engine and theory modules are imported on first use: resolve every
+    # link's runner (and an SMT link's theory encoder) before the budget's
+    # clock starts, so no deadline is spent on an import the result's
+    # wall time does not show.
+    runners = {}
+    for cfg, _ in chain:
+        if cfg is not None:
+            runners[cfg.engine] = registry.resolve_engine(cfg.engine)
+            if registry.get_engine(cfg.engine).theories:
+                registry.resolve_theory(cfg.theory)
     budget = Budget.from_config(config)
     attempts = []
     result: Optional[VerificationResult] = None

@@ -207,3 +207,26 @@ def test_engine_import_is_not_charged_to_the_deadline():
         registry.unregister_engine("slow-import")
     assert result.verdict == Verdict.SAFE, result.stats
     assert "budget_limit" not in result.stats
+
+
+def test_theory_import_is_not_charged_to_the_deadline():
+    """An SMT link's theory encoder is resolved before the budget's clock
+    starts too: a theory whose first load outlasts the deadline still
+    answers within it.  The deadline leaves room for a real (audited,
+    loaded-host) zord run of the program."""
+    from repro.verify import registry
+    from repro.verify.engines import _ord_theory_loader
+
+    def _slow_loader():
+        time.sleep(0.4)  # a cold import
+        return _ord_theory_loader()
+
+    registry.register_theory("ord", _slow_loader, replace=True)
+    try:
+        config = PRESETS["zord"](time_limit_s=0.3)
+        result = verify(COUNTER_SAFE, config)
+    finally:
+        registry.register_theory("ord", _ord_theory_loader, replace=True)
+    budget = {k: v for k, v in result.stats.items() if k.startswith("budget")}
+    assert result.verdict == Verdict.SAFE, budget
+    assert "budget_limit" not in result.stats
