@@ -278,6 +278,12 @@ class _Lowerer:
     # ------------------------------------------------------------------
 
     def _lower_stmt(self, stmt: ast.Stmt) -> None:
+        if self._guard is F.FALSE:
+            # Unreachable (a branch or loop iteration the term
+            # constructors folded to false): it emits no events, no
+            # constraints and no nondet sites.  Start and join are
+            # top-level only, so no thread anchor is lost.
+            return
         self._stmt = stmt
         if isinstance(stmt, ast.LocalDecl):
             if stmt.init is not None:
@@ -366,6 +372,8 @@ class _Lowerer:
         self._env = self._merge_envs(cond, then_env, else_env)
 
     def _lower_while(self, stmt: ast.While, depth: int) -> None:
+        if self._guard is F.FALSE:
+            return  # an iteration past a constant trip count
         self._stmt = stmt  # condition re-reads belong to the loop header
         cond = self._lower_cond(stmt.cond)
         if self.unwind_assumptions:

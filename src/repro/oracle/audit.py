@@ -130,6 +130,10 @@ def check_icd_labels(graph) -> None:
         raise AuditError(
             f"ICD labels are not a permutation of 0..{n - 1}: {ord_}"
         )
+    if any(graph.node_at[label] != node for node, label in enumerate(ord_)):
+        raise AuditError(
+            f"node_at {graph.node_at} is not the inverse of the labels {ord_}"
+        )
     for edges in graph.out:
         for e in edges:
             if ord_[e.src] >= ord_[e.dst]:
@@ -144,9 +148,9 @@ def check_icd_reorder(graph, old, edge, window) -> None:
     """The delta of :func:`check_icd_labels` for one ICD reorder, before
     ``edge`` is activated: ``old`` is ``ord`` before the reorder and
     ``window`` its nodes B ∪ F.  Only window labels moved, among
-    themselves, and the active edges incident to the window and ``edge``
-    respect the new order: with the invariant holding before, it holds
-    after ``edge`` is inserted."""
+    themselves, ``node_at`` follows them, and the active edges incident
+    to the window and ``edge`` respect the new order: with the invariant
+    holding before, it holds after ``edge`` is inserted."""
     ord_ = graph.ord
     nodes = set(window)
     kept = list(ord_)
@@ -162,6 +166,11 @@ def check_icd_reorder(graph, old, edge, window) -> None:
         raise AuditError(
             f"ICD reorder inserting {edge!r} did not permute the labels of "
             f"its window {sorted(nodes)}"
+        )
+    stale = [x for x in nodes if graph.node_at[ord_[x]] != x]
+    if stale:
+        raise AuditError(
+            f"ICD reorder inserting {edge!r} left node_at stale for nodes {stale}"
         )
     for e in [edge] + [e for x in nodes for e in graph.out[x] + graph.inc[x]]:
         if ord_[e.src] >= ord_[e.dst]:
@@ -312,12 +321,16 @@ def _check_unit_candidates(theory) -> None:
     ``_back`` is exactly the registered edges pointing backward, sorted by
     ``ord[dst]``, and ``_cands`` holds every live one, keyed by its
     current ``ord[dst]``."""
-    if not theory._ordered or theory._back_stale:
+    if not theory._ordered or theory._back_stale or theory._relabelled:
         return
     ord_ = theory.graph.ord
     want = [e for e in theory._edge_of_var.values() if ord_[e.src] > ord_[e.dst]]
     keys = [ord_[e.dst] for e in theory._back]
-    if sorted(map(id, theory._back)) != sorted(map(id, want)) or keys != sorted(keys):
+    if (
+        sorted(map(id, theory._back)) != sorted(map(id, want))
+        or keys != sorted(keys)
+        or keys != theory._back_keys
+    ):
         raise AuditError(
             f"unit-edge candidate index lists vars "
             f"{[e.var for e in theory._back]} at keys {keys}, but the edges "

@@ -90,6 +90,7 @@ class EventGraph:
         "out",
         "inc",
         "ord",
+        "node_at",
         "inactive_out",
         "n_active_edges",
         # Packed edge store (interned once per Edge object).
@@ -109,8 +110,10 @@ class EventGraph:
         self.n = n_nodes
         self.out: List[List[Edge]] = [[] for _ in range(n_nodes)]
         self.inc: List[List[Edge]] = [[] for _ in range(n_nodes)]
-        #: Pseudo-topological order labels (maintained by the ICD detector).
+        #: Pseudo-topological order labels (maintained by the ICD detector)
+        #: and their inverse: ``node_at[ord[n]] == n``.
         self.ord: List[int] = list(range(n_nodes))
+        self.node_at: List[int] = list(range(n_nodes))
         #: Inactive RF/WS edges indexed by source node, for the unit-edge
         #: scan (Section 5.4: "check if (e_f, e_b) corresponds to an
         #: inactive edge").
@@ -144,6 +147,7 @@ class EventGraph:
             self.vis_b.append(0)
             self.vis_f.append(0)
             self.ord.append(self.n)
+            self.node_at.append(self.n)
             self.n += 1
 
     def new_epoch(self) -> int:

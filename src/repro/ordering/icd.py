@@ -68,8 +68,9 @@ class IncrementalCycleDetector:
 
     def __init__(self, graph: EventGraph) -> None:
         self.graph = graph
-        #: Optional hook ``on_reorder(n_back, n_fwd)`` invoked after every
-        #: pseudo-topological-order permutation (telemetry/stats).
+        #: Optional hook ``on_reorder(n_back, n_fwd, lo, hi)`` invoked after
+        #: every pseudo-topological-order permutation, which moved labels
+        #: only among ``lo..hi`` (candidate upkeep, telemetry and stats).
         self.on_reorder = None
         #: Debug-mode invariant auditing (``REPRO_AUDIT=1`` or
         #: ``VerifierConfig.audit``): check every reordering's labels
@@ -123,11 +124,14 @@ class IncrementalCycleDetector:
         Nodes keep their relative order within B and within F; the union of
         their old labels is redistributed in increasing order, B first.
         """
-        ord_ = self.graph.ord
-        b_sorted = sorted(back_nodes, key=lambda n: ord_[n])
-        f_sorted = sorted(fwd_nodes, key=lambda n: ord_[n])
-        slots = sorted(ord_[n] for n in b_sorted + f_sorted)
-        for node, slot in zip(b_sorted + f_sorted, slots):
+        g = self.graph
+        ord_ = g.ord
+        node_at = g.node_at
+        by_label = ord_.__getitem__
+        window = sorted(back_nodes, key=by_label) + sorted(fwd_nodes, key=by_label)
+        slots = sorted([ord_[n] for n in window])
+        for node, slot in zip(window, slots):
             ord_[node] = slot
+            node_at[slot] = node
         if self.on_reorder is not None:
-            self.on_reorder(len(back_nodes), len(fwd_nodes))
+            self.on_reorder(len(back_nodes), len(fwd_nodes), slots[0], slots[-1])

@@ -12,8 +12,10 @@ Figure 4:
 * **unit-edge propagation** -- after a successful insertion of ``(u, v)``,
   every live inactive edge ``(f, b)`` with ``v ⇝ f`` and ``b ⇝ u`` would
   close a cycle, so its ordering variable is propagated false with the
-  path's derivation reason.  The search is the theory's own, independent
-  of the detector: under ICD the pseudo-topological order first narrows
+  path's derivation reason, as an explanation over the call's two search
+  trees that is built only if the SAT core reads it.  The search is the
+  theory's own, independent of the detector: under ICD the
+  pseudo-topological order first narrows
   the candidates to edges straddling the insertion window and then bounds
   both DFSs; the Tarjan baseline keeps no order and searches unbounded
   (see :meth:`OrderingTheory._propagate_unit_edges`);
@@ -29,14 +31,13 @@ SAT solver's decision levels through :meth:`backjump`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.robustness import checkpoint as _robustness_checkpoint
-from repro.sat.theory import Theory, TheoryResult
+from repro.sat.theory import Explanation, Theory, TheoryResult
 from repro.ordering.conflict import generate_conflicts
 from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
 from repro.ordering.icd import IncrementalCycleDetector
@@ -44,6 +45,16 @@ from repro.ordering.kernel import bounded_backward, bounded_forward, path_reason
 from repro.ordering.tarjan import TarjanCycleDetector
 
 __all__ = ["OrderingTheory", "TheoryStats"]
+
+#: What :meth:`OrderingTheory.assign` returns when it has nothing to
+#: report (a false literal, an unknown variable or an already active
+#: edge): one shared result whose tuples cannot be appended to.
+_NOTHING = TheoryResult()
+_NOTHING.conflicts = ()
+_NOTHING.propagations = ()
+
+_RF = EdgeKind.RF
+_WS = EdgeKind.WS
 
 
 @dataclass
@@ -126,14 +137,21 @@ class OrderingTheory(Theory):
         self._assign = defaultdict(int)
         #: Unit-edge candidates under ICD (see :meth:`_refresh_candidates`):
         #: ``_back`` holds the registered edges pointing backward in
-        #: ``ord``, sorted by ``ord[dst]``; ``_cands`` its live part, keyed
-        #: for bisection by ``_cand_keys`` (their ``ord[dst]``).
+        #: ``ord``, sorted by ``ord[dst]`` (``_back_keys``); ``_cands`` its
+        #: live part, keyed for bisection by ``_cand_keys``.  Both are out
+        #: of date when ``_cand_stale`` is set: wholly after a
+        #: registration (``_back_stale``), for the labels of ``_relabelled``
+        #: (a ``[lo, hi]`` range, or None) after reorders, and in their
+        #: liveness after a backjump (``_live_stale``).  ``_reg_in`` lists
+        #: the registered edges by destination.
         self._ordered = isinstance(self.detector, IncrementalCycleDetector)
+        self._reg_in: List[List[Edge]] = [[] for _ in range(n_events)]
         self._back: List[Edge] = []
-        self._back_stale = True
+        self._back_keys: List[int] = []
         self._cands: List[Edge] = []
         self._cand_keys: List[int] = []
-        self._cand_stale = True
+        self._cand_stale = self._back_stale = self._live_stale = True
+        self._relabelled: Optional[Tuple[int, int]] = None
         #: Memoized FR edges keyed by (read, write, reason): re-deriving
         #: the same from-read fact after a backtrack reuses the Edge
         #: object, so the graph's packed edge store (which interns every
@@ -162,10 +180,16 @@ class OrderingTheory(Theory):
         self.po_reach = self._compute_po_reachability(n_events, po_edges)
         self._po_reach = self.po_reach
 
-    def _note_reorder(self, n_back: int, n_fwd: int) -> None:
-        """Detector callback: one pseudo-topological reordering happened."""
+    def _note_reorder(self, n_back: int, n_fwd: int, lo: int, hi: int) -> None:
+        """Detector callback: one pseudo-topological reordering happened,
+        moving labels only among ``lo..hi``."""
         self.stats.icd_reorders += 1
-        self._back_stale = self._cand_stale = True
+        self._cand_stale = True
+        span = self._relabelled
+        if span is not None:
+            lo = min(lo, span[0])
+            hi = max(hi, span[1])
+        self._relabelled = (lo, hi)
         if self.telemetry is not None:
             self.telemetry.emit("icd_reorder", back=n_back, fwd=n_fwd)
 
@@ -192,6 +216,7 @@ class OrderingTheory(Theory):
         while len(self._out_rf) < n_events:
             self._out_rf.append([])
             self._out_ws.append([])
+            self._reg_in.append([])
         for i, (a, b) in enumerate(po_edges):
             if i & 0xFF == 0:
                 _robustness_checkpoint("encode")
@@ -224,7 +249,8 @@ class OrderingTheory(Theory):
             raise ValueError(f"variable {var} already registered")
         self._edge_of_var[var] = edge
         self.graph.register_inactive(edge)
-        self._back_stale = self._cand_stale = True
+        self._reg_in[edge.dst].append(edge)
+        self._cand_stale = self._back_stale = True
 
     def initial_unit_clauses(self) -> List[List[int]]:
         """Level-0 unit-edge propagation against the PO skeleton.
@@ -250,26 +276,28 @@ class OrderingTheory(Theory):
         return var in self._edge_of_var
 
     def assign(self, lit: int, level: int) -> TheoryResult:
-        result = TheoryResult()
         if lit < 0:
             # False ordering literals remove no edges and add no orders.
-            return result
+            return _NOTHING
         edge = self._edge_of_var.get(lit)
         if edge is None or edge.active:
-            return result
+            return _NOTHING
+        result = TheoryResult()
         self._activate(edge, level, result)
         return result
 
     def backjump(self, level: int) -> None:
-        self._cand_stale = True
+        self._cand_stale = self._live_stale = True
         trail = self._trail
+        remove = self.detector.remove_edge
         while trail and trail[-1][1] > level:
             edge, _lvl = trail.pop()
-            self.detector.remove_edge(edge)
-            if edge.kind == EdgeKind.RF:
+            remove(edge)
+            kind = edge.kind
+            if kind == _RF:
                 popped = self._out_rf[edge.src].pop()
                 assert popped is edge
-            elif edge.kind == EdgeKind.WS:
+            elif kind == _WS:
                 popped = self._out_ws[edge.src].pop()
                 assert popped is edge
 
@@ -311,31 +339,32 @@ class OrderingTheory(Theory):
     def _activate(self, edge: Edge, level: int, result: TheoryResult) -> bool:
         """Insert ``edge``; on cycle, fill ``result.conflicts`` and return
         False (leaving the graph unchanged)."""
-        self.stats.consistency_checks += 1
-        if self.stats.consistency_checks & 0xFF == 0:
+        stats = self.stats
+        stats.consistency_checks += 1
+        if stats.consistency_checks & 0xFF == 0:
             _robustness_checkpoint("theory")
         added = self.detector.add_edge(edge)
         if added.cycle:
-            self.stats.cycles += 1
+            stats.cycles += 1
             clauses = generate_conflicts(
                 self.graph, self._po_reach, edge, self.max_conflict_clauses
             )
-            self.stats.conflict_clauses += len(clauses)
+            stats.conflict_clauses += len(clauses)
             result.conflicts.extend(clauses)
             return False
-        self.stats.edges_activated += 1
+        stats.edges_activated += 1
         if added.fast_path:
-            self.stats.icd_fast_path += 1
+            stats.icd_fast_path += 1
         self._trail.append((edge, level))
-        if edge.kind == EdgeKind.RF:
+        kind = edge.kind
+        if kind == _RF:
             self._out_rf[edge.src].append(edge)
-        elif edge.kind == EdgeKind.WS:
+        elif kind == _WS:
             self._out_ws[edge.src].append(edge)
         if self.unit_edge:
             self._propagate_unit_edges(edge, result)
-        if self.fr_propagation:
-            if not self._derive_from_read(edge, level, result):
-                return False
+        if self.fr_propagation and (kind == _RF or kind == _WS):
+            return self._derive_from_read(edge, level, result)
         return True
 
     # ------------------------------------------------------------------
@@ -369,17 +398,18 @@ class OrderingTheory(Theory):
             if self._cand_stale:
                 self._refresh_candidates()
             ord_ = g.ord
+            k = bisect_right(self._cand_keys, ord_[u])
+            if not k:
+                return
             f_min = ord_[v]
-            f_max = -1
-            sel = []
-            for e in islice(self._cands, bisect_right(self._cand_keys, ord_[u])):
-                fo = ord_[e.src]
-                if fo >= f_min and assign[e.var] != -1:
-                    sel.append(e)
-                    if fo > f_max:
-                        f_max = fo
+            sel = [
+                e
+                for e in self._cands[:k]
+                if ord_[e.src] >= f_min and assign[e.var] != -1
+            ]
             if not sel:
                 return
+            f_max = max([ord_[e.src] for e in sel])
             epoch = g.new_epoch()
             fwd_nodes, fwd_par, _ = bounded_forward(g, v, f_max, epoch)
             vis_f = g.vis_f
@@ -408,64 +438,84 @@ class OrderingTheory(Theory):
                 for b, edges in inactive_out[f].items()
                 if edges and vis_b[b] == epoch
             ]
-        new_reason = list(new_edge.reason)
         props = result.propagations
-        bmap = fmap = None
-        bmemo: Dict[int, List[int]] = {}
-        fmemo: Dict[int, List[int]] = {}
+        search = None
+        n = 0
         for f, b in pairs:
-            live = [e.var for e in inactive_out[f][b] if assign[e.var] != -1]
-            if not live:
-                continue
-            if bmap is None:
-                bmap = dict(zip(back_nodes, back_par))
-                fmap = dict(zip(fwd_nodes, fwd_par))
-            # Path b ⇝ u --new--> v ⇝ f, closed by (f, b).
-            path_lits = (
-                path_reason(g, b, bmap, True, bmemo)
-                + new_reason
-                + path_reason(g, f, fmap, False, fmemo)
-            )
-            negated = sorted({-l for l in path_lits}, reverse=True)
-            for var in live:
-                props.append((-var, [-var] + negated))
-            self.stats.unit_propagations += len(live)
+            for e in inactive_out[f][b]:
+                var = e.var
+                if assign[var] != -1:
+                    if search is None:
+                        search = _UnitEdgeSearch(
+                            g, back_nodes, back_par, fwd_nodes, fwd_par,
+                            new_edge.reason,
+                        )
+                    props.append((-var, _UnitEdgeReason(search, var, f, b)))
+                    n += 1
+        self.stats.unit_propagations += n
 
     def _refresh_candidates(self) -> None:
-        """Rebuild the candidate index for unit-edge propagation under ICD.
+        """Bring the candidate index for unit-edge propagation up to date
+        under ICD.
 
         Only registered edges pointing backward in ``ord`` can become unit
-        (active edges all point forward).  Labels move only in a reorder,
-        so ``_back`` is rebuilt after a reorder or a registration.  The
-        live part ``_cands`` is refiltered after those and after every
-        backjump: in between, assignments only grow, so it stays a
-        superset of the live backward edges.
+        (active edges all point forward).  A registration rebuilds
+        ``_back``: one pass over the destinations in label order
+        (``graph.node_at``) yields it already sorted.  A reorder permutes
+        labels only among its window ``lo..hi``, so only edges whose
+        ``ord[dst]`` lies there change: an edge keyed below ``lo`` points
+        backward whether or not its source moved (its source stays above
+        ``lo``), one keyed above ``hi`` forward.  That slice of ``_back``
+        is rebuilt from ``node_at[lo..hi]``, and the same slice of
+        ``_cands`` refiltered.  After a backjump ``_cands`` is refiltered
+        whole: in between, assignments only grow, so it stays a superset
+        of the live backward edges.
         """
-        ord_ = self.graph.ord
-        if self._back_stale:
-            back = [e for e in self._edge_of_var.values() if ord_[e.src] > ord_[e.dst]]
-            back.sort(key=lambda e: ord_[e.dst])
-            self._back = back
-            self._back_stale = False
+        g = self.graph
+        ord_ = g.ord
         assign = self._assign
-        self._cands = [e for e in self._back if assign[e.var] != -1]
-        self._cand_keys = [ord_[e.dst] for e in self._cands]
+        reg_in = self._reg_in
+        span = self._relabelled
+        if self._back_stale:
+            self._back = [
+                e for d in g.node_at for e in reg_in[d] if ord_[e.src] > ord_[d]
+            ]
+            self._back_keys = [ord_[e.dst] for e in self._back]
+            self._back_stale = False
+            self._live_stale = True
+        elif span is not None:
+            lo, hi = span
+            mid = [
+                e
+                for d in g.node_at[lo : hi + 1]
+                for e in reg_in[d]
+                if ord_[e.src] > ord_[d]
+            ]
+            _splice(self._back, self._back_keys, lo, hi, mid, ord_)
+            if not self._live_stale:
+                live = [e for e in mid if assign[e.var] != -1]
+                _splice(self._cands, self._cand_keys, lo, hi, live, ord_)
+        if self._live_stale:
+            self._cands = [e for e in self._back if assign[e.var] != -1]
+            self._cand_keys = [ord_[e.dst] for e in self._cands]
+            self._live_stale = False
+        self._relabelled = None
         self._cand_stale = False
 
     def _derive_from_read(
         self, edge: Edge, level: int, result: TheoryResult
     ) -> bool:
         """Apply Axiom 2 around a newly activated RF or WS edge."""
-        if edge.kind == EdgeKind.RF:
+        # The partner lists do not change meanwhile: the insertions below
+        # activate FR edges only, which join neither index.
+        if edge.kind == _RF:
             # w ≺rf r combined with each active w ≺ws w' gives r ≺fr w'.
-            partners = list(self._out_ws[edge.src])
-            for ws_edge in partners:
+            for ws_edge in self._out_ws[edge.src]:
                 if not self._insert_fr(edge, ws_edge, level, result):
                     return False
-        elif edge.kind == EdgeKind.WS:
+        else:
             # w ≺ws w' combined with each active w ≺rf r gives r ≺fr w'.
-            partners = list(self._out_rf[edge.src])
-            for rf_edge in partners:
+            for rf_edge in self._out_rf[edge.src]:
                 if not self._insert_fr(rf_edge, edge, level, result):
                     return False
         return True
@@ -475,7 +525,11 @@ class OrderingTheory(Theory):
     ) -> bool:
         read_eid = rf_edge.dst
         write_eid = ws_edge.dst
-        reason = tuple(sorted(set(rf_edge.reason) | set(ws_edge.reason)))
+        # The derived edge's reason: its two premises' variables, sorted
+        # (an RF or WS edge's reason is its own variable).
+        r = rf_edge.var
+        w = ws_edge.var
+        reason = (r, w) if r < w else (w, r)
         if read_eid == write_eid:
             # Only possible if the same event is used as both a read and a
             # write target (ill-typed input); the derived order e ≺fr e is
@@ -527,3 +581,67 @@ class OrderingTheory(Theory):
                 mask |= reach[y] | (1 << y)
             reach[x] = mask
         return reach
+
+
+def _splice(edges, keys, lo, hi, new, ord_) -> None:
+    """Replace the entries of ``edges`` keyed ``lo..hi`` (``keys`` is its
+    sorted ``ord[dst]`` list) by ``new``, which is sorted the same way."""
+    i = bisect_left(keys, lo)
+    j = bisect_right(keys, hi)
+    edges[i:j] = new
+    keys[i:j] = [ord_[e.dst] for e in new]
+
+
+class _UnitEdgeSearch:
+    """The two search trees of one productive unit-edge call, kept for
+    the explanations of its propagations.
+
+    The trees are the call's own lists (nothing mutates them afterwards)
+    and edge reasons live in the graph's append-only pool, so a clause
+    built from them later is the one the call would have built.  The
+    parent maps and path memos are made on the first read."""
+
+    __slots__ = (
+        "graph", "back_nodes", "back_par", "fwd_nodes", "fwd_par",
+        "new_reason", "bmap", "fmap", "bmemo", "fmemo",
+    )
+
+    def __init__(self, graph, back_nodes, back_par, fwd_nodes, fwd_par, new_reason):
+        self.graph = graph
+        self.back_nodes = back_nodes
+        self.back_par = back_par
+        self.fwd_nodes = fwd_nodes
+        self.fwd_par = fwd_par
+        self.new_reason = new_reason
+        self.bmap = None
+
+    def clause(self, var: int, f: int, b: int) -> List[int]:
+        """``-var`` and the negated literals of the cycle path
+        ``b ⇝ u --new--> v ⇝ f`` that the edge ``(f, b)`` would close."""
+        if self.bmap is None:
+            self.bmap = dict(zip(self.back_nodes, self.back_par))
+            self.fmap = dict(zip(self.fwd_nodes, self.fwd_par))
+            self.bmemo = {}
+            self.fmemo = {}
+        g = self.graph
+        path_lits = (
+            path_reason(g, b, self.bmap, True, self.bmemo)
+            + list(self.new_reason)
+            + path_reason(g, f, self.fmap, False, self.fmemo)
+        )
+        return [-var] + sorted({-l for l in path_lits}, reverse=True)
+
+
+class _UnitEdgeReason(Explanation):
+    """The reason ``-var ∨ ¬path`` of one unit-edge propagation."""
+
+    __slots__ = ("search", "var", "f", "b")
+
+    def __init__(self, search: _UnitEdgeSearch, var: int, f: int, b: int) -> None:
+        self.search = search
+        self.var = var
+        self.f = f
+        self.b = b
+
+    def lits(self) -> List[int]:
+        return self.search.clause(self.var, self.f, self.b)

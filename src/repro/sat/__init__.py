@@ -15,7 +15,7 @@ is unused.
 
 from repro.sat.sharing import SerialBroker, ShareChannel
 from repro.sat.solver import Solver, SolveResult, SolverStats
-from repro.sat.theory import Theory, TheoryResult
+from repro.sat.theory import Explanation, Theory, TheoryResult
 
 __all__ = [
     "Solver",
@@ -23,6 +23,7 @@ __all__ = [
     "SolverStats",
     "Theory",
     "TheoryResult",
+    "Explanation",
     "ShareChannel",
     "SerialBroker",
 ]

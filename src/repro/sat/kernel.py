@@ -38,7 +38,10 @@ Reason encoding (``BoolKernel.reason[v]``):
 * ``>= 0`` -- arena cref of the propagating clause,
 * ``<= -2`` -- index ``-2 - r`` into the transient theory-reason pool
   (``BoolKernel.treason``); slots are recycled on backjump so theory
-  propagation reasons never leak arena space.
+  propagation reasons never leak arena space.  A slot holds the reason's
+  literal list or a :class:`repro.sat.theory.Explanation`; whoever reads
+  an explanation first materialises it and stores the list back in the
+  slot, so each reason is built at most once.
 
 The kernel interface (the methods of the classes below) is deliberately
 narrow: DPLL(T) logic, conflict analysis, assumptions, sharing, audit
@@ -50,6 +53,8 @@ from __future__ import annotations
 
 from array import array
 from typing import Dict, List, Optional
+
+from repro.sat.theory import Reason
 
 __all__ = ["ClauseArena", "VarOrderHeap", "BoolKernel", "NO_REASON"]
 
@@ -146,8 +151,10 @@ class VarOrderHeap:
 
     ``pos[v]`` is the heap slot of variable ``v`` (-1 when absent), so a
     bump re-sifts the live entry instead of pushing a stale duplicate.
-    Activities only increase between rebuilds, hence :meth:`bump` only
-    ever sifts up (the classic ``decrease_key`` on a max-heap).
+    Activities only increase between rebuilds, hence a bump only ever
+    sifts up (the classic ``decrease_key`` on a max-heap); the solver's
+    conflict analysis does it inline, counting each bump of a variable
+    below the root as one operation.
     """
 
     __slots__ = ("activity", "heap", "pos", "n_ops")
@@ -163,13 +170,6 @@ class VarOrderHeap:
 
     def __len__(self) -> int:
         return len(self.heap)
-
-    def bump(self, v: int) -> None:
-        """Re-key ``v`` after its activity increased."""
-        i = self.pos[v]
-        if i > 0:
-            self._sift_up(i)
-            self.n_ops += 1
 
     def pop(self) -> int:
         """Remove and return the max-activity variable (0 when empty)."""
@@ -273,7 +273,7 @@ class BoolKernel:
         self.watch: List[List[int]] = [[], []]
         self.heap = VarOrderHeap(self.activity)
         # Transient theory-reason pool (see module docstring).
-        self.treason: List[Optional[List[int]]] = []
+        self.treason: List[Optional[Reason]] = []
         self.treason_free: List[int] = []
         # Exact operation counters (stats satellite).
         self.n_props = 0
@@ -340,23 +340,17 @@ class BoolKernel:
                     del wl[i : i + 2]
                     break
 
-    def add_treason(self, lits: List[int]) -> int:
-        """Intern a theory propagation reason; returns its reason ref."""
-        if self.treason_free:
-            slot = self.treason_free.pop()
-            self.treason[slot] = lits
-        else:
-            slot = len(self.treason)
-            self.treason.append(lits)
-        return -2 - slot
-
     def reason_lits(self, ref: int) -> Optional[List[int]]:
-        """Cold-path accessor: the literals behind a reason ref."""
+        """Cold-path accessor: the literals behind a reason ref (a theory
+        explanation is materialised and stored back)."""
         if ref == NO_REASON:
             return None
         if ref >= 0:
             return self.arena.lits(ref)
-        return self.treason[-2 - ref]
+        lits = self.treason[-2 - ref]
+        if type(lits) is not list:
+            lits = self.treason[-2 - ref] = lits.lits()
+        return lits
 
     # ------------------------------------------------------------------
     # Assignment / trail

@@ -36,7 +36,7 @@ from repro.robustness import checkpoint as _robustness_checkpoint
 from repro.robustness.budget import BudgetExceeded, get_active as _active_budget
 from repro.sat.kernel import NO_REASON, BoolKernel
 from repro.sat.sharing import ShareChannel
-from repro.sat.theory import Theory
+from repro.sat.theory import Theory, reason_lits
 
 #: Truth values used in the assignment array.
 _UNASSIGNED = 0
@@ -568,15 +568,21 @@ class Solver:
             # is loop-invariant here.
             t = clock()
             res = None
-            while self._theory_qhead < n:
-                lit = trail[self._theory_qhead]
-                self._theory_qhead += 1
-                if not relevant[abs(lit)]:
+            qhead = self._theory_qhead
+            theory_assign = self.theory.assign
+            dl = len(self._trail_lim)
+            for i in range(qhead, n):
+                lit = trail[i]
+                if not relevant[lit if lit > 0 else -lit]:
                     continue
-                res = self.theory.assign(lit, self.decision_level)
+                res = theory_assign(lit, dl)
                 if res.conflicts or res.propagations:
+                    qhead = i + 1
                     break
                 res = None
+            else:
+                qhead = n
+            self._theory_qhead = qhead
             self.theory_s += clock() - t
             if res is None:
                 if kernel.qhead >= n:
@@ -689,23 +695,67 @@ class Solver:
 
     def _apply_theory_propagations(self, props) -> Optional[_Conflict]:
         """Enqueue theory-propagated literals.  Returns a conflict clause if
-        a propagated literal is already false."""
+        a propagated literal is already false.
+
+        A reason enters the pool as the theory gave it: an explanation is
+        materialised by whoever reads it first (``docs/SATCORE.md``), here
+        only when its literal is already false (the reason is the
+        conflict) or under audit, which checks and logs every enqueued
+        reason.  The value test, the pool slot and ``BoolKernel.enqueue``
+        are inlined."""
         if self.telemetry is not None and props:
             self.telemetry.emit("theory_propagation", count=len(props))
-        for lit, reason_lits in props:
-            val = self._value(lit)
+        audit = self.audit
+        if audit:
+            from repro.oracle.audit import check_propagation_reason
+        kernel = self.kernel
+        assign = self._assign
+        level = self._level
+        phase = self._phase
+        reason = kernel.reason
+        treason = kernel.treason
+        free = kernel.treason_free
+        trail = self._trail
+        dl = len(self._trail_lim)
+        conflict = None
+        n = 0
+        for lit, why in props:
+            if lit > 0:
+                v = lit
+                val = assign[v]
+            else:
+                v = -lit
+                val = -assign[v]
             if val == _TRUE:
                 continue
-            if self.audit:
-                from repro.oracle.audit import check_propagation_reason
-
-                check_propagation_reason(self.value, lit, reason_lits)
-                self.proof.append(("theory", list(reason_lits)))
+            if audit:
+                why = reason_lits(why)
+                check_propagation_reason(self.value, lit, why)
+                self.proof.append(("theory", list(why)))
             if val == _FALSE:
-                return list(reason_lits)
-            self.stats.theory_propagations += 1
-            self.kernel.enqueue(lit, self.kernel.add_treason(list(reason_lits)))
-        return None
+                conflict = list(why) if type(why) is list else why.lits()
+                break
+            n += 1
+            if free:
+                slot = free.pop()
+                treason[slot] = why
+            else:
+                slot = len(treason)
+                treason.append(why)
+            if lit > 0:
+                assign[v] = 1
+                phase[v] = 1
+            else:
+                assign[v] = -1
+                phase[v] = 0
+            level[v] = dl
+            reason[v] = -2 - slot
+            trail.append(lit)
+        self.stats.theory_propagations += n
+        kernel.n_props += n
+        if len(trail) > kernel.max_trail:
+            kernel.max_trail = len(trail)
+        return conflict
 
     def _normalize_conflict_level(self, conflict: _Conflict) -> bool:
         """Prepare a falsified clause for 1UIP analysis.
@@ -749,6 +799,12 @@ class Solver:
         data = kernel.arena.data
         treason = kernel.treason
         seen = self._seen
+        activity = self._activity
+        var_inc = self._var_inc
+        heap_obj = kernel.heap
+        heap = heap_obj.heap
+        pos = heap_obj.pos
+        n_bumps = 0
         dl = self.decision_level
         learnt: List[int] = [0]  # placeholder for the asserting literal
         path_count = 0
@@ -777,16 +833,39 @@ class Solver:
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
                     to_clear.append(v)
-                    self._bump_var(v)
+                    # VSIDS bump, then the indexed heap's sift-up (one
+                    # heap_ops operation when v is in the heap below the
+                    # root), inlined.
+                    a = activity[v] + var_inc
+                    activity[v] = a
+                    if a > 1e100:
+                        self._rescale_var_activity()
+                        var_inc = self._var_inc
+                        a = activity[v]
+                    i = pos[v]
+                    if i > 0:
+                        n_bumps += 1
+                        while i > 0:
+                            parent = (i - 1) >> 1
+                            hv = heap[parent]
+                            if activity[hv] >= a:
+                                break
+                            heap[i] = hv
+                            pos[hv] = i
+                            i = parent
+                        heap[i] = v
+                        pos[v] = i
                     if level[v] >= dl:
                         path_count += 1
                     else:
                         learnt.append(q)
             # Pick next literal on the trail to resolve.
-            while not seen[abs(trail[index])]:
+            while True:
+                p = trail[index]
+                pv = p if p > 0 else -p
+                if seen[pv]:
+                    break
                 index -= 1
-            p = trail[index]
-            pv = abs(p)
             r = reason[pv]
             seen[pv] = False
             index -= 1
@@ -796,7 +875,13 @@ class Solver:
             # A decision has no reason and can never be resolved on while
             # literals above it remain on the current level.
             assert r != NO_REASON, "resolving on a decision in _analyze"
-            cl = r if r >= 0 else treason[-2 - r]
+            if r >= 0:
+                cl = r
+            else:
+                cl = treason[-2 - r]
+                if type(cl) is not list:  # a theory explanation, first read
+                    cl = treason[-2 - r] = cl.lits()
+        heap_obj.n_ops += n_bumps
         learnt[0] = -p
         # Clause minimization: drop literals implied by the rest.
         abstract_levels = 0
@@ -836,7 +921,7 @@ class Solver:
         top = len(to_clear)
         while stack:
             p = stack.pop()
-            pv = abs(p)
+            pv = p if p > 0 else -p
             r = reason[pv]
             assert r != NO_REASON
             if r >= 0:
@@ -845,11 +930,13 @@ class Solver:
                 end = start + (data[r] >> 2)
             else:
                 src = treason[-2 - r]
+                if type(src) is not list:
+                    src = treason[-2 - r] = src.lits()
                 start = 0
                 end = len(src)
             for k in range(start, end):
                 q = src[k]
-                v = abs(q)
+                v = q if q > 0 else -q
                 if v == pv or seen[v] or level[v] == 0:
                     continue
                 if reason[v] == NO_REASON or not (
@@ -903,6 +990,8 @@ class Solver:
                     end = start + (data[r] >> 2)
                 else:
                     src = treason[-2 - r]
+                    if type(src) is not list:
+                        src = treason[-2 - r] = src.lits()
                     start = 0
                     end = len(src)
                 for k in range(start, end):
@@ -984,16 +1073,13 @@ class Solver:
     # Activities
     # ------------------------------------------------------------------
 
-    def _bump_var(self, v: int) -> None:
+    def _rescale_var_activity(self) -> None:
+        """Scale every variable activity and the increment down by 1e100
+        (the heap order is unchanged)."""
         activity = self._activity
-        a = activity[v] + self._var_inc
-        activity[v] = a
-        if a > 1e100:
-            for u in range(1, self.nvars + 1):
-                activity[u] *= 1e-100
-            self._var_inc *= 1e-100
-        # Indexed heap: re-key the live entry in place (sift up).
-        self.kernel.heap.bump(v)
+        for u in range(1, self.nvars + 1):
+            activity[u] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _bump_clause_ref(self, cref: int) -> None:
         arena = self.kernel.arena

@@ -9,7 +9,11 @@ may
   *conflict clauses* (clauses falsified under the current assignment), or
 * *propagate* values for unassigned literals, each justified by a *reason
   clause* (a clause in which the propagated literal is the only non-false
-  literal).
+  literal).  A reason is either the clause's literal list or an
+  :class:`Explanation` that builds the list only when it is read: most
+  propagation reasons are never looked at by conflict analysis, so a
+  theory whose reasons are costly to assemble hands out explanations
+  (Nieuwenhuis, Oliveras and Tinelli, JACM 2006).
 
 On backjumps the SAT core notifies the theory so it can restore its internal
 state (e.g. deactivate event-graph edges).
@@ -17,7 +21,34 @@ state (e.g. deactivate event-graph edges).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
+
+
+class Explanation:
+    """A propagation reason clause built on demand.
+
+    The SAT core calls :meth:`lits` at most once per enqueued
+    propagation -- when conflict analysis, clause minimization or
+    failed-assumption analysis first reads the reason, or at offer time
+    when the propagated literal is already false or the solver is
+    audited -- and keeps the list it returns.  The list must be the
+    clause the theory would have given eagerly: the propagated literal
+    plus literals that were all false when it was offered.
+    """
+
+    __slots__ = ()
+
+    def lits(self) -> List[int]:
+        raise NotImplementedError
+
+
+#: A propagation reason: the clause's literals, or an explanation of them.
+Reason = Union[List[int], Explanation]
+
+
+def reason_lits(reason: Reason) -> List[int]:
+    """The literals of a propagation reason (materialised if lazy)."""
+    return reason if type(reason) is list else reason.lits()
 
 
 class TheoryResult:
@@ -28,15 +59,16 @@ class TheoryResult:
             currently falsified.  Non-empty means the current assignment is
             theory-inconsistent.
         propagations: ``(lit, reason)`` pairs; ``lit`` is entailed by the
-            theory under the current assignment and ``reason`` is a clause
-            containing ``lit`` whose other literals are all currently false.
+            theory under the current assignment and ``reason`` (a literal
+            list or an :class:`Explanation`) is a clause containing ``lit``
+            whose other literals are all currently false.
     """
 
     __slots__ = ("conflicts", "propagations")
 
     def __init__(self) -> None:
         self.conflicts: List[List[int]] = []
-        self.propagations: List[Tuple[int, List[int]]] = []
+        self.propagations: List[Tuple[int, Reason]] = []
 
     @property
     def is_conflict(self) -> bool:
@@ -45,7 +77,7 @@ class TheoryResult:
     def add_conflict(self, clause: List[int]) -> None:
         self.conflicts.append(clause)
 
-    def add_propagation(self, lit: int, reason: List[int]) -> None:
+    def add_propagation(self, lit: int, reason: Reason) -> None:
         self.propagations.append((lit, reason))
 
 

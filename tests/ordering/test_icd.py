@@ -12,6 +12,7 @@ from repro.ordering import (
     IncrementalCycleDetector,
     TarjanCycleDetector,
 )
+from tests.ordering.test_unit_edge import materialised
 
 
 def mk_edge(u, v, var=None):
@@ -132,7 +133,7 @@ class TestSearchSets:
         theory.add_ws_var(d, 3, 0)  # 3 is unrelated: never unit
         result = theory.assign(a, 1)
         assert theory.stats.icd_fast_path == 1
-        assert result.propagations == [(-c, [-c, -a])]
+        assert materialised(result) == [(-c, [-c, -a])]
 
     def test_search_sets_cover_window(self):
         g = EventGraph(4)

@@ -15,14 +15,22 @@ from repro.oracle.audit import audit_scope, check_theory_sync
 from repro.oracle.certify import ProofChecker
 from repro.ordering import OrderingTheory
 from repro.sat import Solver
+from repro.sat.theory import reason_lits
+
+
+def materialised(result):
+    """``result``'s propagations with every reason as its literal list."""
+    return [(lit, reason_lits(reason)) for lit, reason in result.propagations]
 
 
 class _Run:
     """One audited theory driven by hand: the test owns the assignment
     array, as the SAT core would, and falsifies every variable the theory
-    offers; the proof checker accepts every offered reason as a cycle."""
+    offers; the proof checker accepts every offered reason as a cycle.
+    With ``lazy`` the reasons are left unmaterialised (and unchecked)."""
 
-    def __init__(self, n, po, edges, detector, fr_propagation):
+    def __init__(self, n, po, edges, detector, fr_propagation, lazy=False):
+        self.lazy = lazy
         with audit_scope(True):
             self.theory = OrderingTheory(
                 n, po, detector=detector, fr_propagation=fr_propagation
@@ -41,7 +49,8 @@ class _Run:
         self.assign[abs(lit)] = 1 if lit > 0 else -1
         self.level_of[abs(lit)] = level
         res = self.theory.assign(lit, level)
-        self.checker.check([("theory", r) for _, r in res.propagations])
+        if not self.lazy:
+            self.checker.check([("theory", r) for _, r in materialised(res)])
         return res
 
     def backjump(self, level):
@@ -70,11 +79,13 @@ def _instance(rng, n, n_edges):
     return po, edges
 
 
-def _drive(rng, n, po, edges, fr_propagation, steps=40):
+def _drive(rng, n, po, edges, fr_propagation, steps=40, lazy=False):
     """Replay one random assign/falsify/backjump sequence under both
-    detectors in lockstep; return the offered propagations of each."""
+    detectors in lockstep; return the offered propagations of each, with
+    their reasons materialised at offer time (as lists), or with ``lazy``
+    as the theory gave them."""
     runs = {
-        d: _Run(n, po, edges, d, fr_propagation) for d in ("icd", "tarjan")
+        d: _Run(n, po, edges, d, fr_propagation, lazy) for d in ("icd", "tarjan")
     }
     offered = {d: [] for d in runs}
     level = 0
@@ -116,7 +127,9 @@ def _drive(rng, n, po, edges, fr_propagation, steps=40):
                     and g.has_path(x.dst, e.src)
                 }
                 assert got == want
-            offered[d].append(list(res.propagations))
+            offered[d].append(
+                list(res.propagations) if lazy else materialised(res)
+            )
         assert bool(results["icd"].conflicts) == bool(results["tarjan"].conflicts)
         if results["icd"].conflicts:
             level -= 1
@@ -148,6 +161,52 @@ def test_propagation_matches_brute_force(seed, n, n_edges, fr_propagation):
     assert offered["icd"] == offered["tarjan"]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 9),
+    n_edges=st.integers(2, 24),
+    fr_propagation=st.booleans(),
+)
+def test_lazy_explanations_equal_eager_reasons(seed, n, n_edges, fr_propagation):
+    """Every explanation, materialised only after the rest of the run has
+    inserted, removed and reordered edges, is the reason clause built at
+    offer time (which the proof checker accepts as a cycle)."""
+    rng = random.Random(seed)
+    po, edges = _instance(rng, n, n_edges)
+    state = rng.getstate()
+    eager = _drive(rng, n, po, edges, fr_propagation)
+    rng.setstate(state)
+    lazy = _drive(rng, n, po, edges, fr_propagation, lazy=True)
+    for d in eager:
+        late = [[(lit, reason_lits(r)) for lit, r in batch] for batch in lazy[d]]
+        assert late == eager[d], d
+
+
+def test_unread_explanations_are_never_built(monkeypatch):
+    """Offers the SAT core skips or backjumps over before analysis reads
+    them cost no reason: on a real search only a share of the enqueued
+    unit-edge reasons is ever materialised, each at most once."""
+    from repro.bench.svcomp import svcomp_suite
+    from repro.verify import VerifierConfig, verify
+    import repro.ordering.solver as theory_mod
+
+    built = []
+    lits = theory_mod._UnitEdgeReason.lits
+    monkeypatch.setattr(
+        theory_mod._UnitEdgeReason, "lits", lambda self: built.append(self) or lits(self)
+    )
+    task = {t.name: t for t in svcomp_suite()}["complex/fib-2-safe"]
+    result = verify(
+        task.source,
+        VerifierConfig.zord(unwind=task.unwind, prune_level=2, unwind_schedule=(), audit=False),
+    )
+    enqueued = result.stats["theory_propagations"]
+    assert result.stats["theory_unit_propagations"] >= enqueued > 0
+    assert 0 < len(built) < enqueued
+    assert len({id(e) for e in built}) == len(built)
+
+
 def test_dead_edges_are_not_offered():
     # 0 -> 1 -> 2 by RF/WS; the closing WS 2 -> 0 is already false.
     run = _Run(3, [], [("rf", 0, 1), ("ws", 1, 2), ("ws", 2, 0)], "icd", True)
@@ -165,7 +224,7 @@ def test_live_true_edge_still_offered():
     run.assign[3] = 1
     run.set(1, 1)
     res = run.set(2, 2)
-    assert res.propagations == [(-3, [-3, -1, -2])]
+    assert materialised(res) == [(-3, [-3, -1, -2])]
 
 
 def test_reasons_are_cycles_under_a_real_solver(monkeypatch):

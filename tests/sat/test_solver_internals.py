@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from repro.oracle.audit import audit_scope
 from repro.robustness.budget import Budget, BudgetExceeded, active_budget
-from repro.sat import SolveResult, Solver, Theory, TheoryResult
+from repro.sat import Explanation, SolveResult, Solver, Theory, TheoryResult
+from repro.sat.kernel import NO_REASON
 from repro.sat.solver import luby
 
 
@@ -229,3 +231,100 @@ class TestFinalCheck:
         theory.var = v
         s.add_clause([v])  # v fixed true at level 0: rejection is terminal
         assert s.solve() == SolveResult.UNSAT
+
+
+class _Probe(Explanation):
+    """A lazy reason that counts how often it is materialised."""
+
+    def __init__(self, lits):
+        self.clause = lits
+        self.reads = 0
+
+    def lits(self):
+        self.reads += 1
+        return list(self.clause)
+
+
+def _at_level_one(nvars=3, audit=False):
+    """A solver with ``nvars`` variables and variable 1 decided true."""
+    with audit_scope(audit):
+        s = Solver()
+    for _ in range(nvars):
+        s.new_var()
+    s._trail_lim.append(len(s._trail))
+    s.kernel.enqueue(1, NO_REASON)
+    return s
+
+
+class _OfferTheory(Theory):
+    """Offers ``2`` with a probe reason ``[2, -1]`` when 1 becomes true."""
+
+    def __init__(self):
+        self.probes = []
+
+    def relevant(self, var):
+        return var == 1
+
+    def assign(self, lit, level):
+        result = TheoryResult()
+        if lit == 1:
+            self.probes.append(_Probe([2, -1]))
+            result.add_propagation(2, self.probes[-1])
+        return result
+
+
+class TestLazyReasons:
+    """An explanation is materialised only when something reads it, once,
+    and the pool keeps the literals it gave."""
+
+    def test_offer_of_a_true_literal_is_never_materialised(self):
+        s = _at_level_one()
+        s.kernel.enqueue(2, NO_REASON)
+        probe = _Probe([2, -1])
+        assert s._apply_theory_propagations([(2, probe)]) is None
+        assert probe.reads == 0 and s.stats.theory_propagations == 0
+
+    def test_backjumped_offer_is_never_materialised(self):
+        s = _at_level_one()
+        probe = _Probe([2, -1])
+        assert s._apply_theory_propagations([(2, probe)]) is None
+        assert s.value(2) is True and s.stats.theory_propagations == 1
+        s._backjump(0)
+        assert s.value(2) is None
+        assert probe.reads == 0
+        assert all(slot is None for slot in s.kernel.treason)
+
+    def test_offer_of_a_false_literal_is_the_conflict(self):
+        s = _at_level_one()
+        s.kernel.enqueue(-2, NO_REASON)
+        probe = _Probe([2, -1])
+        assert s._apply_theory_propagations([(2, probe)]) == [2, -1]
+        assert probe.reads == 1
+
+    def test_first_read_materialises_once_and_is_kept(self):
+        # Level 1: 1 decided, 2 offered by the theory.  Level 2: 4 decided;
+        # the two clauses on 5 conflict and learn (-4, -2), whose
+        # minimization reads 2's reason.
+        theory = _OfferTheory()
+        with audit_scope(False):
+            s = Solver(theory)
+        for _ in range(5):
+            s.new_var(relevant=False)
+        s.mark_relevant(1)
+        s.add_clause([-4, -2, 5])
+        s.add_clause([-4, -2, -5])
+        assert s.solve([1, 4]) == SolveResult.UNSAT
+        (probe,) = theory.probes
+        assert probe.reads == 1
+        ref = s.kernel.reason[2]
+        assert s.kernel.treason[-2 - ref] == [2, -1]
+        assert s.kernel.reason_lits(ref) == [2, -1]
+        assert probe.reads == 1
+
+    def test_audit_materialises_at_offer(self):
+        s = _at_level_one(audit=True)
+        probe = _Probe([2, -1])
+        assert s._apply_theory_propagations([(2, probe)]) is None
+        assert probe.reads == 1
+        assert s.proof[-1] == ("theory", [2, -1])
+        assert s.kernel.reason_lits(s.kernel.reason[2]) == [2, -1]

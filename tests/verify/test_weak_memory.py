@@ -128,6 +128,32 @@ class TestWeakModelMachinery:
             verify(SB, VerifierConfig.cpa_seq(memory_model=model))
 
 
+#: Store buffering around a barrier ``%s`` in each thread.
+SB_BARRIER = """
+int x = 0, y = 0, a = 0, b = 0;
+lock m;
+thread t1 { x = 1; %s a = y; }
+thread t2 { y = 1; %s b = x; }
+main { start t1; start t2; join t1; join t2; assert(a == 1 || b == 1); }
+"""
+
+
+@pytest.mark.parametrize("model", ["tso", "pso"])
+@pytest.mark.parametrize(
+    "barrier",
+    ["if (0) { fence; }", "if (0) { lock(m); unlock(m); }"],
+    ids=["fence", "lock"],
+)
+def test_barrier_that_never_runs_orders_nothing(barrier, model):
+    """A fence or lock in a branch that is never taken is no barrier: the
+    weak store-buffering outcome stays reachable (it read as SAFE while
+    the frontend still emitted the dead branch's anchor, which preserved
+    program order counts as a full barrier)."""
+    source = SB_BARRIER % (barrier, barrier)
+    assert verify(source, VerifierConfig.zord(memory_model=model)).verdict == Verdict.UNSAFE
+    assert verify(source, VerifierConfig.zord(memory_model="sc")).verdict == Verdict.SAFE
+
+
 class TestPpoComputation:
     def test_sc_keeps_all_edges(self):
         from repro.encoding.ppo import preserved_program_order
