@@ -39,8 +39,18 @@ constant TRUE) to conditional code.
 i.e. ``0 == 1``.  Such variables are pure overhead and are skipped.
 Release writes (value 0) and the init write are *not* pruned as sources.
 
+**SYMMETRY** (level >= 2, SC only).  Unlike the four rules above it
+does not preserve the set of models, only satisfiability: threads whose
+event lists agree position by position (kind, address, whether the
+guard is constant true) are listed as candidate groups, and the encoder
+orders the first events of interchangeable threads once it has checked
+that swapping two of them maps the whole encoding onto itself (see
+:mod:`repro.encoding.symmetry`).  Any execution can be renamed into one
+that respects the added edges, so a counterexample exists with them iff
+one exists without them.
+
 Levels: 0 = off, 1 = dead-guard/PO/guard-shadow rules, 2 = + lock-value
-rule (default).
+rule and symmetry candidates (default).
 """
 
 from __future__ import annotations
@@ -51,10 +61,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.lockset import compute_locksets, guard_implies
 from repro.analysis.mhp import program_reachability
-from repro.frontend.program import Event, SymbolicProgram
+from repro.encoding import formula as F
+from repro.frontend.program import Event, EventKind, SymbolicProgram
 from repro.robustness import checkpoint as _robustness_checkpoint
 
-__all__ = ["PrunePlan", "build_prune_plan", "MAX_PRUNE_LEVEL"]
+__all__ = [
+    "PrunePlan",
+    "build_prune_plan",
+    "symmetric_thread_groups",
+    "MAX_PRUNE_LEVEL",
+]
 
 MAX_PRUNE_LEVEL = 2
 
@@ -73,6 +89,9 @@ class PrunePlan:
     po_reach: List[int] = field(default_factory=list)
     acquire_reads: Set[int] = field(default_factory=set)
     acquire_writes: Set[int] = field(default_factory=set)
+    #: SYMMETRY candidates: groups of at least two thread names, in
+    #: start order, whose event lists agree position by position.
+    symmetric_threads: List[List[str]] = field(default_factory=list)
     build_time_s: float = 0.0
 
     def dead_events(
@@ -128,5 +147,26 @@ def build_prune_plan(sym: SymbolicProgram, level: int) -> PrunePlan:
         locks = compute_locksets(sym)
         plan.acquire_reads = locks.acquire_reads
         plan.acquire_writes = locks.acquire_writes
+        plan.symmetric_threads = symmetric_thread_groups(sym)
     plan.build_time_s = time.perf_counter() - t0
     return plan
+
+
+def symmetric_thread_groups(sym: SymbolicProgram) -> List[List[str]]:
+    """Groups of started threads whose events agree position by position
+    in kind, address and whether the guard is constant true, and whose
+    first memory event is unconditional.  A cheap filter: the encoder
+    checks the swap of two group members against the whole encoding
+    before it relies on it."""
+    groups: Dict[tuple, List[str]] = {}
+    for thread in sym.threads[1:]:
+        first = next(
+            (e for e in thread.events if e.kind != EventKind.ANCHOR), None
+        )
+        if first is None or first.guard is not F.TRUE:
+            continue
+        shape = tuple(
+            (e.kind, e.addr, e.guard is F.TRUE) for e in thread.events
+        )
+        groups.setdefault(shape, []).append(thread.name)
+    return [names for names in groups.values() if len(names) > 1]

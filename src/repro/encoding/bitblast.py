@@ -98,6 +98,12 @@ class BitBlaster:
     def has_var(self, name: str) -> bool:
         return name in self._bool_vars or name in self._bv_vars
 
+    def named_bits(self) -> Dict[str, List[int]]:
+        """Every named variable's literals (a Boolean's as one bit)."""
+        named = {name: [lit] for name, lit in self._bool_vars.items()}
+        named.update(self._bv_vars)
+        return named
+
     # ------------------------------------------------------------------
     # Asserted terms (lowered by polarity)
     # ------------------------------------------------------------------

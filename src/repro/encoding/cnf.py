@@ -11,11 +11,19 @@ uniformly.  Constants are folded where clauses are built, as CBMC's gate
 and clause constructors do: a clause containing ``t`` is dropped and ``¬t``
 is removed, so neither reaches the solver.  The solver would store exactly
 the same clause, since ``t`` is true at level 0 (``docs/SATCORE.md``).
+
+:meth:`CnfBuilder.gates` tells which gate each output variable is (the
+symmetry check of :mod:`repro.encoding.symmetry` maps gates through it):
+AND/OR and XOR gates are read off their caches, ITE gates, which are not
+cached, off a log.  Gate definitions go to ``solver.add_clause`` as it
+was when the builder was made: a definition is a function of the gate's
+inputs, so the symmetry check covers them by mapping gates to gates and
+records only the clauses given later through other paths.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.sat import Solver
 
@@ -25,11 +33,13 @@ class CnfBuilder:
 
     def __init__(self, solver: Solver) -> None:
         self.solver = solver
+        self._define = solver.add_clause
         self._true = solver.new_var()
         solver.add_clause([self._true])
         self._and_cache = {}
-        self._or_cache = {}
         self._xor_cache = {}
+        #: ``(out, c, t, e)`` per ITE gate.
+        self._ites: List[Tuple[int, int, int, int]] = []
 
     # ------------------------------------------------------------------
     # Constants and variables
@@ -91,7 +101,7 @@ class CnfBuilder:
         if cached is not None:
             return cached
         # Inputs are constant-free here: the clauses go straight in.
-        add = self.solver.add_clause
+        add = self._define
         out = self.new_lit()
         for lit in ins:
             add([-out, lit])
@@ -116,7 +126,7 @@ class CnfBuilder:
         cached = self._xor_cache.get(key)
         if cached is not None:
             return cached
-        add = self.solver.add_clause
+        add = self._define
         out = self.new_lit()
         add([-out, a, b])
         add([-out, -a, -b])
@@ -136,7 +146,7 @@ class CnfBuilder:
             return t
         add = self.add_clause
         if not (self.is_const(t) or self.is_const(e)):
-            add = self.solver.add_clause
+            add = self._define
         out = self.new_lit()
         add([-out, -c, t])
         add([-out, c, e])
@@ -146,6 +156,21 @@ class CnfBuilder:
         if t != -e:
             add([-t, -e, out])
             add([t, e, -out])
+        self._ites.append((out, c, t, e))
+        return out
+
+    def gates(self) -> Dict[int, Tuple[str, Tuple[int, ...]]]:
+        """Output variable -> ``(op, inputs)`` for every gate built so
+        far: ``("and", ins)`` with ``ins`` the AND cache key (an OR gate
+        is the negated AND of its negated inputs), ``("xor", (a, b))``
+        and ``("ite", (c, t, e))``."""
+        out: Dict[int, Tuple[str, Tuple[int, ...]]] = {}
+        for key, var in self._and_cache.items():
+            out[var] = ("and", key)
+        for key, var in self._xor_cache.items():
+            out[var] = ("xor", key)
+        for var, c, t, e in self._ites:
+            out[var] = ("ite", (c, t, e))
         return out
 
     def full_adder(self, a: int, b: int, cin: int):

@@ -24,6 +24,7 @@ from repro.encoding.bitblast import BitBlaster
 from repro.encoding.cnf import CnfBuilder
 from repro.encoding import formula as F
 from repro.encoding.ppo import preserved_program_order
+from repro.encoding.symmetry import InputRecorder, thread_swaps
 from repro.frontend.program import Event, SymbolicProgram
 from repro.ordering import OrderingTheory
 from repro.robustness import checkpoint as _robustness_checkpoint
@@ -53,6 +54,9 @@ class EncodingStats:
     analysis_pairs_total: int = 0
     analysis_pairs_pruned: int = 0
     analysis_time_s: float = 0.0
+    #: SYMMETRY edges added to the ordering skeleton (one per verified
+    #: swap of two interchangeable threads).
+    symmetry_edges: int = 0
 
 
 @dataclass
@@ -102,7 +106,10 @@ def encode_program(
             program order (see :mod:`repro.encoding.ppo`).
         prune_plan: optional :class:`repro.analysis.prune.PrunePlan`;
             RF/WS variables it proves false-in-every-model are skipped
-            (model-equivalent encoding, see ``docs/ANALYSIS.md``).
+            (model-equivalent encoding, see ``docs/ANALYSIS.md``).  Under
+            SC the ordering theory also gets its SYMMETRY edges
+            (satisfiability-preserving, see
+            :mod:`repro.encoding.symmetry`).
     """
     _robustness_checkpoint("encode")
     if theory is None:
@@ -114,8 +121,16 @@ def encode_program(
             fr_propagation=not fr_encoding,
             max_conflict_clauses=max_conflict_clauses,
         )
+    groups = ()
+    if (
+        prune_plan is not None
+        and memory_model == "sc"
+        and isinstance(theory, OrderingTheory)
+    ):
+        groups = prune_plan.symmetric_threads
     solver = Solver(theory)
     builder = CnfBuilder(solver)
+    recorder = InputRecorder(solver) if groups else None
     blaster = BitBlaster(builder)
     enc = EncodedProgram(solver, theory, blaster, sym)
     if prune_plan is not None:
@@ -133,6 +148,8 @@ def encode_program(
     # --- rho_err ------------------------------------------------------
     if not sym.error_disjuncts:
         enc.trivially_safe = True
+        if recorder is not None:
+            recorder.close()
         return enc
     err_lits = [blaster.blast_bool(d) for d in sym.error_disjuncts]
     builder.add_clause(err_lits)
@@ -352,6 +369,18 @@ def encode_program(
         if i & 0x3FF == 0:
             _robustness_checkpoint("encode")
         solver.add_clause(clause)
+
+    if recorder is not None:
+        # SYMMETRY: the unwinding literals are blasted now, so that the
+        # check covers every clause a later bound adds; the edges join the
+        # skeleton only after the formula is complete.
+        unwind_lits: Dict[int, set] = {}
+        for done, cond in sym.unwind_conds:
+            unwind_lits.setdefault(done, set()).add(blaster.blast_bool(cond))
+        clauses = recorder.close()
+        swaps = thread_swaps(enc, builder, groups, clauses, unwind_lits)
+        theory.add_symmetry_edges(swaps)
+        enc.stats.symmetry_edges = len(swaps)
 
     enc.stats.sat_vars = solver.nvars
     enc.stats.sat_clauses = solver.num_clauses

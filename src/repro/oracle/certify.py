@@ -25,6 +25,18 @@ A log entry is ``(tag, literals)`` with DIMACS literals:
   third-party or test theory; the ordering theories all give it) are
   trusted the same way.
 
+The theory's proof data may also list SYMMETRY edges, each with the
+thread swap that justifies it (``repro.encoding.symmetry``).  Before an
+edge joins the checker's program order, its swap must be an involution
+of the literals and of the events that exchanges the edge's two ends,
+map every input clause, every registered ordering edge and the program
+order among the edges' endpoints onto themselves, and fix the ends of
+every other symmetry edge; the edges must form disjoint chains.  Every
+check re-checks every swap against the grown log, and an UNSAT answer
+additionally needs each swap to fix the solve's assumptions.  Then any
+model can be renamed, one swap at a time, into one that obeys the edges,
+so a refutation that uses them refutes the formula.
+
 Deletions are not logged: the checker's clause set only grows, which
 keeps every RUP step sound.  An UNSAT answer is certified when its core
 is a subset of the assumptions and the negated core (the empty clause
@@ -43,19 +55,22 @@ from repro.oracle.audit import AuditError
 
 __all__ = ["ProofChecker"]
 
-#: ``{var: (kind, src, dst)}`` for the registered ordering variables, and
-#: the program-order (or preserved-program-order) edge list.
+#: ``{var: (kind, src, dst)}`` for the registered ordering variables, the
+#: program-order (or preserved-program-order) edge list and, optionally,
+#: the symmetry edges with their swaps: ``((a, b), {event: image},
+#: {var: image literal})``.
 OrderingData = Tuple[Dict[int, Tuple[str, int, int]], List[Tuple[int, int]]]
+Swap = Tuple[Tuple[int, int], Dict[int, int], Dict[int, int]]
 
 
 class ProofChecker:
     """Checks one solver's proof log, incrementally across its solves.
 
     Counters: ``rup`` learned clauses and ``lemmas`` theory lemmas
-    accepted, ``trusted`` imports and unchecked lemmas, ``certified``
-    UNSAT answers, ``models`` SAT models checked and ``time_s`` spent
-    checking; a verification reports them as ``certify_*`` stats
-    (:meth:`as_stats`).
+    accepted, ``trusted`` imports and unchecked lemmas, ``symmetries``
+    symmetry edges admitted, ``certified`` UNSAT answers, ``models`` SAT
+    models checked and ``time_s`` spent checking; a verification reports
+    them as ``certify_*`` stats (:meth:`as_stats`).
     """
 
     def __init__(self) -> None:
@@ -71,8 +86,14 @@ class ProofChecker:
         #: gives proof data).
         self.edges: Optional[Dict[int, Tuple[str, int, int]]] = None
         self.po: List[Tuple[int, int]] = []
+        #: The admitted symmetry swaps; ``_po_reach`` closes program order
+        #: and their edges, ``_program_reach`` program order alone.
+        self.swaps: List[Swap] = []
         self._po_reach: Dict[int, int] = {}
-        self.rup = self.lemmas = self.trusted = 0
+        self._program_reach: Dict[int, int] = {}
+        #: The input clauses as literal sets (kept once a swap is seen).
+        self._input_keys: Optional[set] = None
+        self.rup = self.lemmas = self.trusted = self.symmetries = 0
         self.certified = self.models = 0
         self.time_s = 0.0
 
@@ -90,10 +111,15 @@ class ProofChecker:
         (None: unchanged, or a theory that gives none)."""
         t = time.perf_counter()
         if ordering is not None:
-            self.edges, po = ordering
-            if len(po) != len(self.po):
+            self.edges, po, *rest = ordering
+            swaps = rest[0] if rest else []
+            if len(po) != len(self.po) or len(swaps) != len(self.swaps):
                 self.po = list(po)
-                self._po_reach = _closure(self.po)
+                self._program_reach = _closure(self.po)
+                self.swaps = list(swaps)
+                self._po_reach = _closure(self.po + [s[0] for s in swaps])
+            if self.swaps:
+                self._check_swaps([l for tag, l in entries if tag == "input"])
         for tag, lits in entries:
             if tag == "learn":
                 if not self._rup(lits):
@@ -121,6 +147,13 @@ class ProofChecker:
                 f"unsat core literals {stray} are not among the "
                 f"assumptions {list(assumptions)}"
             )
+        for (a, b), _, variables in self.swaps:
+            moved = [lit for lit in assumptions if _image(variables, lit) != lit]
+            if moved:
+                raise AuditError(
+                    f"symmetry edge {a}->{b}: its swap moves the "
+                    f"assumptions {moved}"
+                )
         if not self._rup([-lit for lit in core]):
             raise AuditError(
                 f"UNSAT is not certified: the negated core {list(core)} "
@@ -151,7 +184,7 @@ class ProofChecker:
         """The counters as ``result.stats`` extras."""
         stats = {
             f"certify_{k}": getattr(self, k)
-            for k in ("rup", "lemmas", "certified", "models")
+            for k in ("rup", "lemmas", "symmetries", "certified", "models")
         }
         stats["certify_time_s"] = round(self.time_s, 6)
         return stats
@@ -238,6 +271,80 @@ class ProofChecker:
         return refuted
 
     # ------------------------------------------------------------------
+    # Symmetry edges
+    # ------------------------------------------------------------------
+
+    def _check_swaps(self, new_inputs: List[Sequence[int]]) -> None:
+        """Check every swap against the inputs so far plus
+        ``new_inputs``, the edges and program order (see the module
+        docstring); raises :class:`AuditError` on the first failure."""
+        keys = self._input_keys
+        if keys is None:
+            keys = self._input_keys = {frozenset(c) for c in self.inputs}
+        keys.update(map(frozenset, new_inputs))
+        ends = {x for (a, b), _, _ in self.swaps for x in (a, b)}
+        nodes = set(ends)
+        for _, a, b in self.edges.values():
+            nodes.update((a, b))
+        outs = [a for (a, _), _, _ in self.swaps]
+        ins = [b for (_, b), _, _ in self.swaps]
+        if len(set(outs)) != len(outs) or len(set(ins)) != len(ins):
+            raise AuditError(
+                f"symmetry edges {[s[0] for s in self.swaps]} do not form "
+                f"disjoint chains"
+            )
+        for swap in self.swaps:
+            self._check_swap(swap, keys, ends, nodes)
+        self.symmetries = len(self.swaps)
+
+    def _check_swap(self, swap: Swap, keys: set, ends: set, nodes: set) -> None:
+        (a, b), events, variables = swap
+        where = f"symmetry edge {a}->{b}"
+        if events.get(a) != b or any(
+            events.get(y, y) != x for x, y in events.items()
+        ):
+            raise AuditError(
+                f"{where}: its event swap is not an involution that "
+                f"exchanges the two ends"
+            )
+        stray = [x for x in ends if x not in (a, b) and events.get(x, x) != x]
+        if stray:
+            raise AuditError(f"{where}: its swap moves the symmetry edge ends {stray}")
+        for v, lit in variables.items():
+            if v <= 0 or not lit or _image(variables, lit) != v:
+                raise AuditError(
+                    f"{where}: its literal map is not an involution at {v}"
+                )
+        for var, (kind, x, y) in self.edges.items():
+            image = _image(variables, var)
+            if self.edges.get(image) != (kind, events.get(x, x), events.get(y, y)):
+                raise AuditError(
+                    f"{where}: its swap maps ordering variable {var} "
+                    f"({kind} {x}->{y}) to {image}, which is not the "
+                    f"swapped edge"
+                )
+        reach = self._program_reach
+        for x in nodes:
+            mask = reach.get(x, 0)
+            for y in nodes:
+                if (mask >> y & 1) != (
+                    reach.get(events.get(x, x), 0) >> events.get(y, y) & 1
+                ):
+                    raise AuditError(
+                        f"{where}: its swap does not keep program order "
+                        f"between events {x} and {y}"
+                    )
+        for clause in keys:
+            if any(abs(lit) in variables for lit in clause):
+                image = frozenset(_image(variables, lit) for lit in clause)
+                if image not in keys:
+                    raise AuditError(
+                        f"{where}: its swap maps input clause "
+                        f"{sorted(clause)} to {sorted(image)}, which is not "
+                        f"an input clause"
+                    )
+
+    # ------------------------------------------------------------------
     # Ordering lemmas
     # ------------------------------------------------------------------
 
@@ -298,6 +405,13 @@ class ProofChecker:
                     path.append(nxt)
                     stack.append(iter(succ[nxt]))
         return None
+
+
+def _image(variables: Dict[int, int], lit: int) -> int:
+    """The image of ``lit`` under a swap's literal map."""
+    if lit > 0:
+        return variables.get(lit, lit)
+    return -variables.get(-lit, -lit)
 
 
 def _closure(po: List[Tuple[int, int]]) -> Dict[int, int]:

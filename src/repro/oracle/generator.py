@@ -11,6 +11,14 @@ deadlock by lock ordering), read-modify-write ``atomic`` blocks,
 ``fence`` -- and always ends ``main`` with at least one assertion over
 the shared state, so every program has a property to disagree about.
 
+Symmetric mode: one seed in :data:`SYMMETRIC_EVERY` (outside the Python
+profile) clones one thread body two or three times with renamed locals,
+the shape the encoder's symmetry breaking orders
+(:mod:`repro.encoding.symmetry`).  About a third of these programs carry
+one planted asymmetry -- a constant changed in one clone, ``main``
+writing shared memory between two ``start``s, or an assertion in one
+clone only -- which that breaking must refuse.
+
 Determinism: all randomness flows from one ``random.Random(seed)``; the
 same seed always yields the identical program (this is what makes a
 fuzzing finding reportable as just a seed).
@@ -18,13 +26,18 @@ fuzzing finding reportable as just a seed).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.lang import ast
 
-__all__ = ["GenConfig", "generate_program", "generate_source"]
+__all__ = ["GenConfig", "SYMMETRIC_EVERY", "generate_program", "generate_source"]
+
+#: Every seed ``s`` with ``s % SYMMETRIC_EVERY == SYMMETRIC_EVERY - 1``
+#: generates a symmetric program (see the module docstring).
+SYMMETRIC_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -63,9 +76,12 @@ _BOOL_OPS = ("&&", "||")
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig) -> None:
+    def __init__(
+        self, rng: random.Random, cfg: GenConfig, symmetric: bool = False
+    ) -> None:
         self.rng = rng
         self.cfg = cfg
+        self.symmetric = symmetric
         self.shared: List[str] = []
         self.locks: List[str] = []
         self._local_counter = 0
@@ -275,6 +291,34 @@ class _Gen:
             body.append(ast.Assert(self._cond(locals_, allow_nondet=False)))
         return body
 
+    # -- symmetric threads ----------------------------------------------
+
+    def _clones(self) -> List[ast.ThreadDef]:
+        """Two or three threads running one body, each with its own
+        locals."""
+        r = self.rng
+        body = self._thread_body()
+        declared = sorted(
+            {n.name for n in _nodes(body) if isinstance(n, ast.LocalDecl)}
+        )
+        threads = [ast.ThreadDef("t0", body)]
+        for i in range(1, min(r.randint(2, 3), self.cfg.max_threads)):
+            names = {name: self._fresh_local() for name in declared}
+            threads.append(ast.ThreadDef(f"t{i}", _copied(body, names, {})))
+        return threads
+
+    def _bump_constant(self, threads: List[ast.ThreadDef]) -> bool:
+        """Change one integer literal of the last thread; False if it has
+        none."""
+        last = threads[-1]
+        lits = [n for n in _nodes(last.body) if isinstance(n, ast.IntLit)]
+        if not lits:
+            return False
+        lit = self.rng.choice(lits)
+        swap = {id(lit): ast.IntLit(lit.value + 1)}
+        threads[-1] = ast.ThreadDef(last.name, _copied(last.body, {}, swap))
+        return True
+
     # -- whole program -------------------------------------------------
 
     def program(self) -> ast.Program:
@@ -287,19 +331,36 @@ class _Gen:
         globals_ = [ast.GlobalDecl(g, r.randint(0, 2)) for g in self.shared]
         globals_ += [ast.GlobalDecl(m, 0, is_lock=True) for m in self.locks]
 
-        n_threads = r.randint(1, cfg.max_threads)
-        threads = [
-            ast.ThreadDef(f"t{i}", self._thread_body()) for i in range(n_threads)
-        ]
+        plant = None
+        if self.symmetric:
+            threads = self._clones()
+            if r.random() < 1 / 3:
+                plant = r.choice(("constant", "main-write", "assert"))
+                if plant == "constant" and not self._bump_constant(threads):
+                    plant = "assert"
+                if plant == "assert":
+                    body = threads[-1].body
+                    locals_ = [s.name for s in body if isinstance(s, ast.LocalDecl)]
+                    body.append(ast.Assert(self._cond(locals_, False)))
+        else:
+            n_threads = r.randint(1, cfg.max_threads)
+            threads = [
+                ast.ThreadDef(f"t{i}", self._thread_body())
+                for i in range(n_threads)
+            ]
 
         main_body: List[ast.Stmt] = []
         locals_: List[str] = []
         # Occasionally do some main-thread work before the starts.
         for _ in range(r.randint(0, 1)):
             main_body.extend(self._stmt(locals_, 1))
-        for t in threads:
+        for i, t in enumerate(threads):
             main_body.append(ast.Start(t.name))
-            if r.random() < 0.25:
+            if plant == "main-write" and i == 0:
+                main_body.append(
+                    ast.Assign(r.choice(self.shared), ast.IntLit(r.randint(0, 3)))
+                )
+            elif not self.symmetric and r.random() < 0.25:
                 main_body.extend(self._stmt(locals_, 0))
         join_order = list(threads)
         r.shuffle(join_order)
@@ -323,9 +384,50 @@ class _Gen:
         return ast.Program(globals_, threads, main)
 
 
+#: Nodes whose ``name`` may be a local (``Lock``/``Unlock`` name locks).
+_NAMES_A_LOCAL = (ast.VarRef, ast.LocalDecl, ast.Assign)
+
+
+def _nodes(node):
+    """Every expression and statement under ``node``, in source order."""
+    if isinstance(node, list):
+        for n in node:
+            yield from _nodes(n)
+    elif isinstance(node, (ast.Expr, ast.Stmt)):
+        yield node
+        for f in dataclasses.fields(node):
+            yield from _nodes(getattr(node, f.name))
+
+
+def _copied(node, names: Dict[str, str], swap: Dict[int, ast.Expr]):
+    """A deep copy of an AST node (or list of nodes) with the locals of
+    ``names`` renamed and each node whose ``id`` is in ``swap`` replaced."""
+    if isinstance(node, list):
+        return [_copied(n, names, swap) for n in node]
+    if not isinstance(node, (ast.Expr, ast.Stmt)):
+        return node
+    if id(node) in swap:
+        return swap[id(node)]
+    fields = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if f.name == "name" and isinstance(node, _NAMES_A_LOCAL):
+            value = names.get(value, value)
+        else:
+            value = _copied(value, names, swap)
+        fields[f.name] = value
+    return type(node)(**fields)
+
+
 def generate_program(seed: int, config: Optional[GenConfig] = None) -> ast.Program:
     """Generate the (deterministic) program of ``seed``."""
-    gen = _Gen(random.Random(seed), config or GenConfig())
+    config = config or GenConfig()
+    symmetric = (
+        seed % SYMMETRIC_EVERY == SYMMETRIC_EVERY - 1
+        and config.max_threads >= 2
+        and not config.python_profile
+    )
+    gen = _Gen(random.Random(seed), config, symmetric)
     program = gen.program()
     # Validity is part of the generator's contract -- catch drift here,
     # not as noise in the differential harness.

@@ -176,9 +176,13 @@ class OrderingTheory(Theory):
             if result.cycle:
                 raise ValueError("program order itself is cyclic")
         #: Static PO reachability bitmasks (public: the encoder prunes
-        #: read-from candidates with it).
+        #: read-from candidates with it).  ``_po_reach``, the skeleton's
+        #: reachability, adds the SYMMETRY edges.
         self.po_reach = self._compute_po_reachability(n_events, po_edges)
         self._po_reach = self.po_reach
+        #: Verified thread swaps whose edges are in the skeleton (see
+        #: :meth:`add_symmetry_edges`).
+        self.symmetries: list = []
 
     def _note_reorder(self, n_back: int, n_fwd: int, lo: int, hi: int) -> None:
         """Detector callback: one pseudo-topological reordering happened,
@@ -226,7 +230,33 @@ class OrderingTheory(Theory):
                 raise ValueError("program order itself is cyclic")
         self._po_edges.extend(po_edges)
         self.po_reach = self._compute_po_reachability(n_events, self._po_edges)
-        self._po_reach = self.po_reach
+        self._po_reach = self._skeleton_reach()
+
+    def add_symmetry_edges(self, swaps: Sequence) -> None:
+        """Add each verified swap's edge (a
+        :class:`repro.encoding.symmetry.ThreadSwap`) to the skeleton.
+
+        The edges order events that program order leaves unordered, and
+        they hold only up to the swap: every model has a twin that obeys
+        them.  They act as program order in the graph (no variable, no
+        reason literal) and in the skeleton reachability, but :attr:`po_reach`
+        and the program order :meth:`proof_data` reports stay the
+        program's own; the edges and their swaps are reported apart."""
+        for swap in swaps:
+            a, b = swap.edge
+            if self.detector.add_edge(Edge(a, b, EdgeKind.PO)).cycle:
+                raise ValueError(f"symmetry edge {a}->{b} closes a cycle")
+            self.symmetries.append(swap)
+        if swaps:
+            self._po_reach = self._skeleton_reach()
+            self._cand_stale = self._back_stale = True
+
+    def _skeleton_reach(self) -> List[int]:
+        if not self.symmetries:
+            return self.po_reach
+        return self._compute_po_reachability(
+            self.graph.n, self._po_edges + [s.edge for s in self.symmetries]
+        )
 
     # ------------------------------------------------------------------
     # Construction-time registration
@@ -251,6 +281,10 @@ class OrderingTheory(Theory):
         self.graph.register_inactive(edge)
         self._reg_in[edge.dst].append(edge)
         self._cand_stale = self._back_stale = True
+
+    def ordering_edges(self) -> Dict[int, Tuple[str, int, int]]:
+        """``{var: (kind, src, dst)}`` for the registered variables."""
+        return {v: (e.kind, e.src, e.dst) for v, e in self._edge_of_var.items()}
 
     def initial_unit_clauses(self) -> List[List[int]]:
         """Level-0 unit-edge propagation against the PO skeleton.
@@ -310,8 +344,8 @@ class OrderingTheory(Theory):
             if self._ordered:
                 check_icd_labels(self.graph)
             check_theory_sync(self)
-        edges = {v: (e.kind, e.src, e.dst) for v, e in self._edge_of_var.items()}
-        return edges, self._po_edges
+        swaps = [(s.edge, s.events, s.variables) for s in self.symmetries]
+        return self.ordering_edges(), self._po_edges, swaps
 
     def _audited_assign(self, lit: int, level: int) -> TheoryResult:
         """:meth:`assign`, then the audit's check of the trail entries it

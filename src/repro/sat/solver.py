@@ -36,7 +36,7 @@ from repro.robustness import checkpoint as _robustness_checkpoint
 from repro.robustness.budget import BudgetExceeded, get_active as _active_budget
 from repro.sat.kernel import NO_REASON, BoolKernel
 from repro.sat.sharing import ShareChannel
-from repro.sat.theory import Theory, reason_lits
+from repro.sat.theory import Explanation, Theory, reason_lits
 
 #: Truth values used in the assignment array.
 _UNASSIGNED = 0
@@ -50,6 +50,18 @@ _SHORT_CLAUSE = 8
 #: A conflict in flight: either an arena cref (attached clause) or a raw
 #: literal list (theory conflict clause, never attached).
 _Conflict = Union[int, List[int]]
+
+
+class _Built(Explanation):
+    """An explanation the audit already built when it was offered."""
+
+    __slots__ = ("_lits",)
+
+    def __init__(self, lits: List[int]) -> None:
+        self._lits = lits
+
+    def lits(self) -> List[int]:
+        return self._lits
 
 
 class SolveResult:
@@ -75,6 +87,10 @@ class SolverStats:
     learned: int = 0
     theory_conflicts: int = 0
     theory_propagations: int = 0
+    #: Theory explanations that conflict analysis, clause minimization
+    #: or failed-assumption analysis materialised (the audit's reading at
+    #: offer time does not count, so the count is the same audited).
+    theory_reasons_read: int = 0
     max_trail: int = 0
     #: Watcher-list entries scanned during unit propagation (exact).
     watcher_visits: int = 0
@@ -701,8 +717,9 @@ class Solver:
         materialised by whoever reads it first (``docs/SATCORE.md``), here
         only when its literal is already false (the reason is the
         conflict) or under audit, which checks and logs every enqueued
-        reason.  The value test, the pool slot and ``BoolKernel.enqueue``
-        are inlined."""
+        reason (and pools the built list as an explanation that counts
+        when it is first read).  The value test, the pool slot and
+        ``BoolKernel.enqueue`` are inlined."""
         if self.telemetry is not None and props:
             self.telemetry.emit("theory_propagation", count=len(props))
         audit = self.audit
@@ -729,9 +746,13 @@ class Solver:
             if val == _TRUE:
                 continue
             if audit:
-                why = reason_lits(why)
-                check_propagation_reason(self.value, lit, why)
-                self.proof.append(("theory", list(why)))
+                lits = reason_lits(why)
+                check_propagation_reason(self.value, lit, lits)
+                self.proof.append(("theory", list(lits)))
+                if type(why) is not list:
+                    # The pool keeps an explanation, so that the first
+                    # read counts as it does unaudited.
+                    why = _Built(lits)
             if val == _FALSE:
                 conflict = list(why) if type(why) is list else why.lits()
                 break
@@ -881,6 +902,7 @@ class Solver:
                 cl = treason[-2 - r]
                 if type(cl) is not list:  # a theory explanation, first read
                     cl = treason[-2 - r] = cl.lits()
+                    self.stats.theory_reasons_read += 1
         heap_obj.n_ops += n_bumps
         learnt[0] = -p
         # Clause minimization: drop literals implied by the rest.
@@ -932,6 +954,7 @@ class Solver:
                 src = treason[-2 - r]
                 if type(src) is not list:
                     src = treason[-2 - r] = src.lits()
+                    self.stats.theory_reasons_read += 1
                 start = 0
                 end = len(src)
             for k in range(start, end):
@@ -992,6 +1015,7 @@ class Solver:
                     src = treason[-2 - r]
                     if type(src) is not list:
                         src = treason[-2 - r] = src.lits()
+                        self.stats.theory_reasons_read += 1
                     start = 0
                     end = len(src)
                 for k in range(start, end):

@@ -128,7 +128,8 @@ class Theory:
         """Plain data for the audit's proof checker
         (:mod:`repro.oracle.certify`): ``({var: (kind, src, dst)}, [(a, b),
         ...])``, the registered ordering variables with their edges and
-        the program-order edges.  None for a theory with no ordering
+        the program-order edges, optionally followed by the symmetry
+        edges with their swaps.  None for a theory with no ordering
         lemmas, whose solver's proof is then pure RUP."""
         return None
 

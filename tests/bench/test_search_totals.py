@@ -27,12 +27,14 @@ KEYS = (
     "sat_clauses",
     "theory_unit_propagations",
     "theory_propagations",
+    "theory_reasons_read",
+    "symmetry_edges",
 )
 
 TOTALS = {
-    "svcomp": (2635, 7329, 228634, 17186, 39447, 20919, 17982),
-    "nidhugg": (2709, 12013, 360191, 15568, 75930, 31468, 27277),
-    "python": (84, 175, 9174, 2097, 5724, 451, 346),
+    "svcomp": (1883, 6038, 161262, 17186, 39447, 7014, 6116, 1913, 24),
+    "nidhugg": (2709, 12009, 360191, 15568, 75930, 31473, 27281, 3996, 12),
+    "python": (58, 118, 7743, 2097, 5724, 423, 318, 17, 8),
 }
 
 
@@ -66,19 +68,35 @@ def test_audited_svcomp_certifies_every_answer():
     """Under audit every SAFE is certified by the proof checker and every
     UNSAFE model checked, with the checker's counters pinned too: the
     audit materialises each unit-edge reason when it is offered, so it
-    sees exactly the lemmas an eager theory would give it."""
-    keys = ("certify_rup", "certify_lemmas", "certify_certified", "certify_models")
+    sees exactly the lemmas an eager theory would give it, and it admits
+    every symmetry edge the encoder added.  The search is the unaudited
+    one."""
+    keys = (
+        "certify_rup",
+        "certify_lemmas",
+        "certify_symmetries",
+        "certify_certified",
+        "certify_models",
+    )
     totals = dict.fromkeys(keys, 0)
-    answers = 0
+    answers = safe = conflicts = reads = edges = 0
     for name, expected_safe, result in _results("svcomp", audit=True):
         assert result.is_safe == expected_safe, (name, result.diagnostic)
         answers += 1
+        safe += expected_safe
+        conflicts += result.stats["conflicts"]
+        reads += result.stats["theory_reasons_read"]
+        edges += result.stats["symmetry_edges"]
         for key in keys:
             totals[key] += result.stats[key]
     assert totals == {
-        "certify_rup": 2585,
-        "certify_lemmas": 18808,
+        "certify_rup": 1833,
+        "certify_lemmas": 6598,
+        "certify_symmetries": 24,
         "certify_certified": 60,
         "certify_models": 40,
     }
+    assert totals["certify_certified"] == safe
     assert totals["certify_certified"] + totals["certify_models"] == answers
+    assert totals["certify_symmetries"] == edges
+    assert (conflicts, reads) == (TOTALS["svcomp"][0], TOTALS["svcomp"][7])

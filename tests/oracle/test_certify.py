@@ -115,6 +115,76 @@ class TestModels:
             c.check_model(self.model(1, 2, 3))
 
 
+class TestSymmetryEdges:
+    """Events: an init write 0 in main, then writes 1 and 2 of two
+    interchangeable threads (program order 0 -> 1 and 0 -> 2).  Variables
+    1/2 are ws(1, 2)/ws(2, 1), 3/4 two further literals the swap
+    exchanges; the swap justifies the edge 1 -> 2."""
+
+    SWAP_EDGES = {1: ("ws", 1, 2), 2: ("ws", 2, 1)}
+    PO = [(0, 1), (0, 2)]
+    SWAP = ((1, 2), {1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: 3})
+
+    def admit(self, inputs, swap=SWAP, po=PO, swaps=None):
+        c = ProofChecker()
+        swaps = [swap] if swaps is None else swaps
+        c.check(
+            [("input", clause) for clause in inputs],
+            (self.SWAP_EDGES, list(po), swaps),
+        )
+        return c
+
+    def test_edge_admitted_into_program_order(self):
+        # Without the edge ws(2, 1) alone closes no cycle.
+        c = ProofChecker()
+        c.check([("input", [1, 2])], (self.SWAP_EDGES, list(self.PO)))
+        with pytest.raises(AuditError, match="no cycle"):
+            c.check([("theory", [-2])])
+        c = self.admit([[1, 2], [3, 4]])
+        c.check([("theory", [-2]), ("learn", [1])])
+        assert c.symmetries == 1 and c.as_stats()["certify_symmetries"] == 1
+
+    def test_input_log_not_mapped_onto_itself_rejected(self):
+        with pytest.raises(AuditError, match="not an input clause"):
+            self.admit([[1, 2], [2]])
+
+    def test_grown_log_is_rechecked(self):
+        c = self.admit([[1, 2]])
+        with pytest.raises(AuditError, match="not an input clause"):
+            c.check([("input", [-3, 1])], (self.SWAP_EDGES, self.PO, [self.SWAP]))
+
+    def test_edge_outside_one_orbit_rejected(self):
+        swap = ((1, 3), {1: 2, 2: 1}, {1: 2, 2: 1})
+        with pytest.raises(AuditError, match="exchanges the two ends"):
+            self.admit([[1, 2]], swap=swap)
+
+    def test_swap_must_keep_program_order(self):
+        # Only program order among the edges' endpoints matters: event 0
+        # is in no registered edge.
+        self.admit([[1, 2]], po=[(0, 1)])
+        with pytest.raises(AuditError, match="program order"):
+            self.admit([[1, 2]], po=[(0, 1), (1, 2)])
+
+    def test_swap_must_map_ordering_variables(self):
+        swap = ((1, 2), {1: 2, 2: 1}, {3: 4, 4: 3})
+        with pytest.raises(AuditError, match="ordering variable"):
+            self.admit([[1, 2]], swap=swap)
+
+    def test_literal_map_must_be_an_involution(self):
+        swap = ((1, 2), {1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: -3})
+        with pytest.raises(AuditError, match="involution"):
+            self.admit([[1, 2]], swap=swap)
+
+    def test_edges_must_form_chains(self):
+        with pytest.raises(AuditError, match="disjoint chains"):
+            self.admit([[1, 2]], swaps=[self.SWAP, self.SWAP])
+
+    def test_unsat_needs_fixed_assumptions(self):
+        c = self.admit([[1, 2], [-3, -4], [3, 4]])
+        with pytest.raises(AuditError, match="moves the assumptions"):
+            c.certify_unsat([3], [3])
+
+
 def test_checker_shares_no_code_with_the_solver_stack():
     tree = ast.parse(Path(certify_mod.__file__).read_text())
     imported = set()

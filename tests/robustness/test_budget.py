@@ -22,6 +22,14 @@ COUNTER_SAFE = (
     Path(__file__).resolve().parents[2] / "examples" / "programs" / "counter_safe.c"
 ).read_text()
 
+#: ``COUNTER_SAFE`` with threads that add different amounts: the symmetry
+#: edge that lets Zord⁻ prove ``COUNTER_SAFE`` within one conflict does
+#: not apply, so every preset needs at least two units of work.
+COUNTER_UNEVEN = COUNTER_SAFE.replace(
+    "thread inc2 { int t; lock(m); t = counter; counter = t + 1;",
+    "thread inc2 { int t; lock(m); t = counter; counter = t + 2;",
+).replace("counter == 2", "counter == 3")
+
 #: The counter each engine charges to the work cap, one unit per charge.
 WORK_COUNTER = {
     "smt": "conflicts",
@@ -167,7 +175,8 @@ class TestBudgetIsTheOnlyEnforcer:
 
     def test_work_cap_reports_conflicts_limit(self, preset):
         config = PRESETS[preset](max_conflicts=1)
-        result = verify(COUNTER_SAFE, config)
+        assert COUNTER_UNEVEN != COUNTER_SAFE
+        result = verify(COUNTER_UNEVEN, config)
         assert result.verdict == Verdict.UNKNOWN
         assert result.stats["budget_limit"] == "conflicts"
         assert result.stats["budget_phase"]

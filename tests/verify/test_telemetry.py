@@ -28,18 +28,18 @@ class TestNormalizedStats:
         out = normalize_stats(None)
         assert all(out[k] == 0 for k in STAT_KEYS)
 
-    def test_stat_keys_are_the_canonical_27(self):
+    def test_stat_keys_are_canonical(self):
         assert set(STAT_KEYS) == {
             "decisions", "propagations", "conflicts", "restarts", "learned",
-            "theory_conflicts", "theory_propagations", "max_trail",
-            "watcher_visits", "heap_ops", "incremental_calls",
+            "theory_conflicts", "theory_propagations", "theory_reasons_read",
+            "max_trail", "watcher_visits", "heap_ops", "incremental_calls",
             "clauses_retained", "shared_exported", "shared_imported",
             "rf_vars", "ws_vars", "fr_vars", "sat_vars", "sat_clauses",
             "analysis_pairs_total", "analysis_pairs_pruned",
-            "analysis_time_s", "traces", "transitions", "cache_hit",
-            "queue_wait_s", "worker_recycles",
+            "analysis_time_s", "symmetry_edges", "traces", "transitions",
+            "cache_hit", "queue_wait_s", "worker_recycles",
         }
-        assert len(STAT_KEYS) == 27
+        assert len(STAT_KEYS) == 29
 
     def test_smt_phase_times_reported(self):
         result = verify(RACE_UNSAFE, VerifierConfig.zord())
