@@ -106,8 +106,9 @@ class PrunePlan:
         return {eid for eid, g in guard_lits.items() if value(g) is False}
 
     def po_ordered(self, a: int, b: int) -> bool:
-        """True when event ``a`` is PO-before event ``b``."""
-        return bool((self.po_reach[a] >> b) & 1)
+        """True when event ``a`` is PO-before event ``b``.  Always False
+        at level 0, which computes no reachability (and prunes nothing)."""
+        return self.level >= 1 and bool((self.po_reach[a] >> b) & 1)
 
     def rf_dead(self, w: Event, r: Event, writes: Sequence[Event]) -> bool:
         """True when ``rf(w, r)`` is false in every model.

@@ -24,11 +24,12 @@ from repro.encoding.bitblast import BitBlaster
 from repro.encoding.cnf import CnfBuilder
 from repro.frontend import build_symbolic_program
 from repro.lang import ast
+from repro.ordering.event_graph import Edge, EdgeKind, EventGraph
 from repro.ordering.solver import OrderingTheory
 from repro.robustness import checkpoint
 from repro.sat import SolveResult, Solver
 from repro.verify.result import Verdict, VerificationResult
-from repro.verify.witness import Trace, TraceStep
+from repro.verify.witness import model_trace
 
 __all__ = ["verify_closure", "MAX_TRANSITIVITY_CLAUSES"]
 
@@ -193,42 +194,29 @@ def verify_closure(program: ast.Program, config) -> VerificationResult:
     if answer == SolveResult.UNSAT:
         return VerificationResult(Verdict.SAFE, config.name, stats=stats)
 
-    witness = _extract_witness(sym, solver, blaster, guard_lits, hb, mem, po_reach)
+    graph = _model_graph(sym, solver, rf_by_read, ws_var)
+    witness = model_trace(sym, solver, blaster, guard_lits, graph)
     return VerificationResult(Verdict.UNSAFE, config.name, witness=witness, stats=stats)
 
 
-def _extract_witness(sym, solver, blaster, guard_lits, hb, mem, po_reach):
-    enabled = [ev for ev in mem if solver.model_lit(guard_lits[ev.eid])]
-
-    def hb_true(i, j):
-        return solver.model_lit(hb(i, j))
-
-    # Kahn over the model's hb edges restricted to enabled events.
-    ids = [ev.eid for ev in enabled]
-    indeg = {i: 0 for i in ids}
-    succ = {i: [] for i in ids}
-    for i in ids:
-        for j in ids:
-            if i != j and hb_true(i, j):
-                succ[i].append(j)
-                indeg[j] += 1
-    queue = [i for i in ids if indeg[i] == 0]
-    pos = {}
-    k = 0
-    while queue:
-        x = queue.pop()
-        pos[x] = k
-        k += 1
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    enabled.sort(key=lambda ev: pos.get(ev.eid, 0))
-    width = sym.width
-    steps = []
-    for ev in enabled:
-        raw = blaster.bv_value(ev.ssa_name)
-        if raw & (1 << (width - 1)):
-            raw -= 1 << width
-        steps.append(TraceStep(ev.thread, ev.kind, ev.addr, raw, ev.label))
-    return Trace(steps)
+def _model_graph(sym, solver, rf_by_read, ws_var) -> EventGraph:
+    """The model's execution as an event graph: program order, the true
+    RF and WS atoms and the FR orders they derive.  Each of them implies
+    its ``hb`` literal, so the graph is acyclic."""
+    graph = EventGraph(len(sym.events))
+    orders = [(a, b, EdgeKind.PO) for a, b in sym.po_edges]
+    ws_after: Dict[int, List[int]] = {}
+    for (w1, w2), var in ws_var.items():
+        if solver.model_lit(var):
+            orders.append((w1, w2, EdgeKind.WS))
+            ws_after.setdefault(w1, []).append(w2)
+    for r, sources in rf_by_read.items():
+        for w, var in sources.items():
+            if solver.model_lit(var):
+                orders.append((w, r, EdgeKind.RF))
+                orders += [
+                    (r, wk, EdgeKind.FR) for wk in ws_after.get(w, ()) if wk != r
+                ]
+    for a, b, kind in orders:
+        graph.activate(Edge(a, b, kind))
+    return graph

@@ -122,7 +122,7 @@ class IdlTheory(Theory):
         from ``src`` finds (the detector's own search, repeated)."""
         g = self.graph
         nodes, pars = bounded_backward(g, src, 0, g.new_epoch())
-        return path_reason(g, node, dict(zip(nodes, pars)), True, {})
+        return path_reason(node, dict(zip(nodes, pars)), True, {})
 
 
 def encode_program_idl(sym: SymbolicProgram, memory_model: str = "sc"):

@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.verify import Verdict
-from repro.verify.config import PRESETS
+from repro.verify.config import PRESETS, doubling_schedule
 
 #: Verdict -> process exit code.  UNSAFE is distinct from SAFE so shell
 #: pipelines and CI can branch on the verdict.
@@ -243,11 +243,7 @@ def _config_kwargs(args) -> dict:
     schedule = None  # None = let REPRO_UNWIND_SCHEDULE decide
     if args.unwind_max is not None:
         unwind = args.unwind_max
-        bounds, b = [], 1
-        while b < unwind:
-            bounds.append(b)
-            b *= 2
-        schedule = tuple(bounds) + (unwind,)
+        schedule = doubling_schedule(unwind)
     if args.unwind_schedule is not None:
         try:
             schedule = tuple(
@@ -418,13 +414,16 @@ def _verify_py(argv: List[str]) -> int:
         and not args.no_confirm
     ):
         from repro.pyfront.dynexec import confirm
-        from repro.smc.witness_replay import replay_witness
+        from repro.smc.witness_replay import ReplayError, replay_witness
 
-        replayed = replay_witness(
-            translation.program, result.witness,
-            width=args.width, unwind=unwind,
-        )
-        print(f"  symbolic replay: {'ok' if replayed else 'FAILED'}")
+        try:
+            replayed = replay_witness(
+                translation.program, result.witness,
+                width=args.width, unwind=unwind,
+            )
+            print(f"  symbolic replay: {'ok' if replayed else 'FAILED'}")
+        except ReplayError as exc:
+            print(f"  symbolic replay: FAILED ({exc})")
         outcome = confirm(
             translation,
             witness=result.witness,

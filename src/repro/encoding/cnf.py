@@ -198,10 +198,6 @@ class CnfBuilder:
         else:
             self.solver.add_clause([-premise, conclusion])
 
-    def imply_all(self, premise: int, conclusions: Iterable[int]) -> None:
-        for c in conclusions:
-            self.imply(premise, c)
-
     def imply_or(self, premise: int, disjuncts: Sequence[int]) -> None:
         """Assert ``premise -> (d1 | d2 | ...)``."""
         self.add_clause([-premise, *disjuncts])

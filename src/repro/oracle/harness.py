@@ -130,7 +130,7 @@ def run_program(
         outcome, witness = _run_spec(
             source, spec, unwind, width, time_limit_s, audit
         )
-        if replay and spec.replayable and outcome.verdict == Verdict.UNSAFE:
+        if replay and outcome.verdict == Verdict.UNSAFE:
             _replay(program, outcome, witness, unwind, width)
         outcomes.append(outcome)
 

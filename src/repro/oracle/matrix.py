@@ -13,8 +13,9 @@ Soundness flags encode what a disagreement means:
   original tool its SAFE only covers the round-robin round bound, so its
   SAFE never indicts anyone (but its UNSAFE does).
 * ``sound_unsafe`` -- the engine's UNSAFE verdict is trustworthy (all of
-  them are; UNSAFE verdicts are additionally replayed through the
-  concrete interpreter by the harness).
+  them are; every UNSAFE verdict that carries a
+  :class:`repro.verify.witness.Trace` is additionally replayed through
+  the concrete interpreter by the harness).
 
 Three matrices: ``quick`` (CI smoke), ``smt`` (every DPLL(T) ablation x
 prune level x schedule), ``full`` (smt + every baseline engine + serial
@@ -40,9 +41,6 @@ class EngineSpec:
     overrides: Tuple[Tuple[str, object], ...] = ()
     sound_safe: bool = True
     sound_unsafe: bool = True
-    #: UNSAFE witnesses from this spec replay through the concrete
-    #: interpreter (SMT-engine traces carry the event ids replay needs).
-    replayable: bool = False
     #: Non-empty: race these presets via ``verify_portfolio`` instead of
     #: a single ``verify`` call.
     portfolio: Tuple[str, ...] = ()
@@ -73,22 +71,17 @@ def _spec(key: str, preset: str, **kw) -> EngineSpec:
 
 
 _QUICK = (
-    _spec("zord", "zord", replayable=True),
-    _spec("zord-tarjan", "zord-tarjan", replayable=True),
-    _spec("cbmc", "cbmc", replayable=True),
+    _spec("zord", "zord"),
+    _spec("zord-tarjan", "zord-tarjan"),
+    _spec("cbmc", "cbmc"),
 )
 
 _SMT = _QUICK + (
-    _spec("zord-", "zord-", replayable=True),
-    _spec("zord'", "zord'", replayable=True),
-    _spec("zord/prune0", "zord", overrides={"prune_level": 0}, replayable=True),
-    _spec("zord/prune1", "zord", overrides={"prune_level": 1}, replayable=True),
-    _spec(
-        "zord/sched",
-        "zord",
-        overrides={"unwind_schedule": (1, 2, 4, 8, 16)},
-        replayable=True,
-    ),
+    _spec("zord-", "zord-"),
+    _spec("zord'", "zord'"),
+    _spec("zord/prune0", "zord", overrides={"prune_level": 0}),
+    _spec("zord/prune1", "zord", overrides={"prune_level": 1}),
+    _spec("zord/sched", "zord", overrides={"unwind_schedule": (1, 2, 4, 8, 16)}),
 )
 
 _FULL = _SMT + (

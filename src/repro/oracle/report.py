@@ -27,7 +27,7 @@ class EngineOutcome:
     diagnostic: Optional[str] = None
     #: Replay of the UNSAFE witness: True = assert failed concretely
     #: (witness confirmed), False = replayed but no assert failed,
-    #: None = not replayed (no witness / not replayable / not UNSAFE).
+    #: None = not replayed (no Trace witness / not UNSAFE / replay off).
     replay_ok: Optional[bool] = None
     replay_error: Optional[str] = None
 

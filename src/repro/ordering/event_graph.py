@@ -15,21 +15,10 @@ Nodes are event ids (dense integers); edges carry
 Activation/deactivation is strictly LIFO (it follows the DPLL(T) trail), so
 adjacency lists support O(1) removal by popping.
 
-Since the packed-kernel rewrite (``docs/SATCORE.md``) the graph keeps a
-*dual* representation:
-
-* the :class:`Edge`-object adjacency (``out`` / ``inc``) -- the public
-  surface used by conflict generation, the audit invariants and tests;
-* a packed edge store for the hot cycle-detector searches: every edge
-  that ever touches the graph is interned with a dense integer id
-  (``Edge.idx``), endpoints live in ``e_src`` / ``e_dst``, and derivation
-  reasons in a flat literal pool (``rpool`` with ``rstart`` / ``rlen``
-  offset slices).  Epoch-stamped ``vis_b``/``vis_f`` arrays give the
-  two-way search O(1) visited state without per-insertion set/dict
-  allocation, and search-tree parents are captured as packed edge ids in
-  parallel int lists (see :mod:`repro.ordering.kernel`; adjacency
-  *iteration* stays on the ``Edge`` lists -- measured faster on CPython,
-  see ``docs/SATCORE.md``).
+The cycle detectors' searches (:mod:`repro.ordering.kernel`) walk the
+:class:`Edge`-object adjacency (``out`` / ``inc``) directly; the graph adds
+only epoch-stamped ``vis_b``/``vis_f`` arrays, which give the two-way
+search O(1) visited state without per-search set/dict allocation.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ class EdgeKind:
 class Edge:
     """A directed order edge ``src ≺ dst``."""
 
-    __slots__ = ("src", "dst", "kind", "reason", "var", "active", "idx")
+    __slots__ = ("src", "dst", "kind", "reason", "var", "active")
 
     def __init__(
         self,
@@ -65,8 +54,6 @@ class Edge:
         self.reason = reason
         self.var = var
         self.active = False
-        #: Dense packed-edge id, assigned on first contact with a graph.
-        self.idx: Optional[int] = None
 
     @property
     def is_po(self) -> bool:
@@ -93,13 +80,6 @@ class EventGraph:
         "node_at",
         "inactive_out",
         "n_active_edges",
-        # Packed edge store (interned once per Edge object).
-        "edges",
-        "e_src",
-        "e_dst",
-        "rstart",
-        "rlen",
-        "rpool",
         # Epoch-stamped two-way-search state (see repro.ordering.kernel).
         "vis_b",
         "vis_f",
@@ -121,58 +101,15 @@ class EventGraph:
             {} for _ in range(n_nodes)
         ]
         self.n_active_edges = 0
-        # Packed edge store: eid -> object / endpoints / reason slice.
-        self.edges: List[Edge] = []
-        self.e_src: List[int] = []
-        self.e_dst: List[int] = []
-        self.rstart: List[int] = []
-        self.rlen: List[int] = []
-        self.rpool: List[int] = []
         # Search scratch: visited iff stamp == current epoch.
         self.vis_b: List[int] = [0] * n_nodes
         self.vis_f: List[int] = [0] * n_nodes
         self.epoch = 0
 
-    def grow(self, k: int) -> None:
-        """Append ``k`` fresh nodes (delta encoding support).
-
-        New nodes get the largest pseudo-topological labels, so ``ord``
-        stays a permutation consistent with the existing active edges and
-        the ICD detector needs no rebuild.
-        """
-        for _ in range(k):
-            self.out.append([])
-            self.inc.append([])
-            self.inactive_out.append({})
-            self.vis_b.append(0)
-            self.vis_f.append(0)
-            self.ord.append(self.n)
-            self.node_at.append(self.n)
-            self.n += 1
-
     def new_epoch(self) -> int:
         """Fresh search epoch: invalidates vis_b/vis_f in O(1)."""
         self.epoch += 1
         return self.epoch
-
-    def intern(self, edge: Edge) -> int:
-        """Assign (once) a dense packed id to ``edge``; returns it."""
-        eid = edge.idx
-        if eid is None:
-            eid = len(self.edges)
-            edge.idx = eid
-            self.edges.append(edge)
-            self.e_src.append(edge.src)
-            self.e_dst.append(edge.dst)
-            self.rstart.append(len(self.rpool))
-            self.rlen.append(len(edge.reason))
-            self.rpool.extend(edge.reason)
-        return eid
-
-    def reason_of(self, eid: int) -> List[int]:
-        """Derivation reason literals of a packed edge (pool slice)."""
-        start = self.rstart[eid]
-        return self.rpool[start : start + self.rlen[eid]]
 
     # ------------------------------------------------------------------
     # Inactive edge registry
@@ -180,7 +117,6 @@ class EventGraph:
 
     def register_inactive(self, edge: Edge) -> None:
         """Pre-create an RF/WS edge in inactive state (Section 5.4)."""
-        self.intern(edge)
         self.inactive_out[edge.src].setdefault(edge.dst, []).append(edge)
 
     def inactive_edges_between(self, src: int, dst: int) -> List[Edge]:
@@ -193,8 +129,6 @@ class EventGraph:
 
     def activate(self, edge: Edge) -> None:
         assert not edge.active, f"edge already active: {edge!r}"
-        if edge.idx is None:
-            self.intern(edge)
         edge.active = True
         src = edge.src
         dst = edge.dst
@@ -223,12 +157,6 @@ class EventGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def successors(self, node: int) -> Iterable[Edge]:
-        return self.out[node]
-
-    def predecessors(self, node: int) -> Iterable[Edge]:
-        return self.inc[node]
 
     def active_edges(self) -> Iterable[Edge]:
         for edges in self.out:

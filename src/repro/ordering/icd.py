@@ -21,10 +21,9 @@ runs its own search after the insertion, pruned by the same order labels
 On a detected cycle the graph is left *unchanged* (the offending edge is
 not activated), so the acyclicity invariant always holds between calls.
 
-Since the packed-kernel rewrite (``docs/SATCORE.md``) the searches run in
-:mod:`repro.ordering.kernel` over the graph's parallel int arrays:
-epoch-stamped visited scratch instead of per-insertion sets and int
-adjacency instead of ``Edge``-object chasing.
+The searches run in :mod:`repro.ordering.kernel`, over the graph's
+``Edge``-object adjacency with epoch-stamped visited scratch instead of
+per-insertion sets.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ class IncrementalCycleDetector:
             g.activate(edge)
             return FAST_PATH
 
-        # Two-way bounded search over the packed adjacency (see
-        # repro.ordering.kernel): backward from u within ord >= ord[v],
-        # then forward from v within ord <= ord[u].
+        # Two-way bounded search (see repro.ordering.kernel): backward
+        # from u within ord >= ord[v], then forward from v within
+        # ord <= ord[u].
         epoch = g.new_epoch()
         back_nodes, _ = bounded_backward(g, u, ord_[v], epoch)
         if g.vis_b[v] == epoch:

@@ -152,18 +152,18 @@ class OrderingTheory(Theory):
         self._cand_keys: List[int] = []
         self._cand_stale = self._back_stale = self._live_stale = True
         self._relabelled: Optional[Tuple[int, int]] = None
-        #: Memoized FR edges keyed by (read, write, reason): re-deriving
-        #: the same from-read fact after a backtrack reuses the Edge
-        #: object, so the graph's packed edge store (which interns every
-        #: edge it ever sees) stays bounded by the number of *distinct*
-        #: derivations instead of growing with every re-derivation.
+        #: Memoized FR edges keyed by (read, write, reason): one Edge per
+        #: distinct derivation, so its ``active`` flag tells whether the
+        #: fact is already on the trail.  A partner pair that re-triggers
+        #: without an intervening backtrack then activates nothing twice
+        #: (see :meth:`_insert_fr`).
         self._fr_cache: Dict[Tuple[int, int, Tuple[int, ...]], Edge] = {}
         #: Active outgoing RF / WS edges per node, for FR derivation.
         self._out_rf: List[List[Edge]] = [[] for _ in range(n_events)]
         self._out_ws: List[List[Edge]] = [[] for _ in range(n_events)]
         #: Activation trail: (edge, level) pairs, LIFO.
         self._trail: List[Tuple[Edge, int]] = []
-        #: All PO edges seen so far (extended by :meth:`extend`).
+        #: The program's own PO edges (reported by :meth:`proof_data`).
         self._po_edges: List[Tuple[int, int]] = list(po_edges)
         for i, (a, b) in enumerate(po_edges):
             # The Tarjan baseline does a full-graph search per insertion,
@@ -197,41 +197,6 @@ class OrderingTheory(Theory):
         if self.telemetry is not None:
             self.telemetry.emit("icd_reorder", back=n_back, fwd=n_fwd)
 
-    # ------------------------------------------------------------------
-    # Incremental re-solve protocol
-    # ------------------------------------------------------------------
-
-    def extend(
-        self, n_events: int, po_edges: Sequence[Tuple[int, int]] = ()
-    ) -> None:
-        """Grow the event graph for a delta encoding.
-
-        New events and program-order edges are *appended*: the ICD
-        pseudo-topological order, active level-0 edges, derived FR edges,
-        and learned state all survive.  PO reachability is recomputed over
-        the accumulated PO skeleton (it is static, not trail-dependent).
-        Call only with the theory at level 0 (between solver queries).
-        """
-        if n_events < self.graph.n:
-            raise ValueError(
-                f"cannot shrink event graph ({self.graph.n} -> {n_events})"
-            )
-        self.graph.grow(n_events - self.graph.n)
-        while len(self._out_rf) < n_events:
-            self._out_rf.append([])
-            self._out_ws.append([])
-            self._reg_in.append([])
-        for i, (a, b) in enumerate(po_edges):
-            if i & 0xFF == 0:
-                _robustness_checkpoint("encode")
-            edge = Edge(a, b, EdgeKind.PO)
-            result = self.detector.add_edge(edge)
-            if result.cycle:
-                raise ValueError("program order itself is cyclic")
-        self._po_edges.extend(po_edges)
-        self.po_reach = self._compute_po_reachability(n_events, self._po_edges)
-        self._po_reach = self._skeleton_reach()
-
     def add_symmetry_edges(self, swaps: Sequence) -> None:
         """Add each verified swap's edge (a
         :class:`repro.encoding.symmetry.ThreadSwap`) to the skeleton.
@@ -248,15 +213,10 @@ class OrderingTheory(Theory):
                 raise ValueError(f"symmetry edge {a}->{b} closes a cycle")
             self.symmetries.append(swap)
         if swaps:
-            self._po_reach = self._skeleton_reach()
+            self._po_reach = self._compute_po_reachability(
+                self.graph.n, self._po_edges + [s.edge for s in self.symmetries]
+            )
             self._cand_stale = self._back_stale = True
-
-    def _skeleton_reach(self) -> List[int]:
-        if not self.symmetries:
-            return self.po_reach
-        return self._compute_po_reachability(
-            self.graph.n, self._po_edges + [s.edge for s in self.symmetries]
-        )
 
     # ------------------------------------------------------------------
     # Construction-time registration
@@ -481,7 +441,7 @@ class OrderingTheory(Theory):
                 if assign[var] != -1:
                     if search is None:
                         search = _UnitEdgeSearch(
-                            g, back_nodes, back_par, fwd_nodes, fwd_par,
+                            back_nodes, back_par, fwd_nodes, fwd_par,
                             new_edge.reason,
                         )
                     props.append((-var, _UnitEdgeReason(search, var, f, b)))
@@ -631,17 +591,16 @@ class _UnitEdgeSearch:
     the explanations of its propagations.
 
     The trees are the call's own lists (nothing mutates them afterwards)
-    and edge reasons live in the graph's append-only pool, so a clause
-    built from them later is the one the call would have built.  The
-    parent maps and path memos are made on the first read."""
+    and an edge's reason never changes, so a clause built from them later
+    is the one the call would have built.  The parent maps and path memos
+    are made on the first read."""
 
     __slots__ = (
-        "graph", "back_nodes", "back_par", "fwd_nodes", "fwd_par",
+        "back_nodes", "back_par", "fwd_nodes", "fwd_par",
         "new_reason", "bmap", "fmap", "bmemo", "fmemo",
     )
 
-    def __init__(self, graph, back_nodes, back_par, fwd_nodes, fwd_par, new_reason):
-        self.graph = graph
+    def __init__(self, back_nodes, back_par, fwd_nodes, fwd_par, new_reason):
         self.back_nodes = back_nodes
         self.back_par = back_par
         self.fwd_nodes = fwd_nodes
@@ -657,11 +616,10 @@ class _UnitEdgeSearch:
             self.fmap = dict(zip(self.fwd_nodes, self.fwd_par))
             self.bmemo = {}
             self.fmemo = {}
-        g = self.graph
         path_lits = (
-            path_reason(g, b, self.bmap, True, self.bmemo)
+            path_reason(b, self.bmap, True, self.bmemo)
             + list(self.new_reason)
-            + path_reason(g, f, self.fmap, False, self.fmemo)
+            + path_reason(f, self.fmap, False, self.fmemo)
         )
         return [-var] + sorted({-l for l in path_lits}, reverse=True)
 

@@ -12,7 +12,7 @@ can swap detectors via configuration.  Unit-edge propagation is the
 theory's own and identical under both detectors, so the two differ only
 in detection cost (Fig. 10).
 
-The search shares the packed kernel (:mod:`repro.ordering.kernel`) with
+The search shares the search kernel (:mod:`repro.ordering.kernel`) with
 ICD, run with a slack bound: ``lb=0`` never prunes (order labels are a
 permutation of ``range(n)``), which makes the bounded DFS an unbounded one.
 """

@@ -28,9 +28,7 @@ integer containers instead of per-clause Python objects:
 Storage-type note (measured on CPython, see ``docs/SATCORE.md``): the
 layout is designed for 32-bit words, but the *hot* containers are plain
 Python lists because ``array('i')`` item access pays boxing costs
-(~1.8x reads, ~5x writes vs. a list of small ints).  The arena exports
-``typed_arena()`` for a future compiled backend that wants a real
-``array('i')`` buffer; nothing above the kernel interface would change.
+(~1.8x reads, ~5x writes vs. a list of small ints).
 
 Reason encoding (``BoolKernel.reason[v]``):
 
@@ -106,9 +104,6 @@ class ClauseArena:
     def size(self, cref: int) -> int:
         return self.data[cref] >> 2
 
-    def is_learned(self, cref: int) -> bool:
-        return bool(self.data[cref] & _LEARNED)
-
     def lits(self, cref: int) -> List[int]:
         """The clause's literals as a fresh list (cold-path accessor)."""
         base = cref + _HEADER_WORDS
@@ -140,10 +135,6 @@ class ClauseArena:
         data[:] = out
         self.dead_words = 0
         return reloc
-
-    def typed_arena(self) -> array:
-        """The arena as a real ``array('i')`` (compiled-backend export)."""
-        return array("i", self.data)
 
 
 class VarOrderHeap:

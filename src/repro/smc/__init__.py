@@ -11,13 +11,15 @@ explorers can branch over scheduling decisions:
   and sleep-set dynamic partial-order reduction, with reads-from
   equivalence-class counting;
 * :mod:`repro.smc.rfsc` / :mod:`repro.smc.genmc` -- the Nidhugg/rfsc-style
-  and GenMC-style verifier presets built on the explorer.
+  and GenMC-style verifier presets built on the explorer;
+* :mod:`repro.smc.witness_replay` -- replay of explorer schedules and SMT
+  witness traces.
 """
 
 from repro.smc.compile import CompiledProgram, compile_program
 from repro.smc.interpreter import ExecState, Interpreter
 from repro.smc.explore import ExploreOutcome, Explorer
-from repro.smc.replay import ReplayError, replay_schedule
+from repro.smc.witness_replay import ReplayError, replay_schedule, replay_witness
 
 __all__ = [
     "CompiledProgram",
@@ -27,5 +29,6 @@ __all__ = [
     "Explorer",
     "ExploreOutcome",
     "replay_schedule",
+    "replay_witness",
     "ReplayError",
 ]

@@ -1,4 +1,12 @@
-"""Replay an SMT witness trace through the SMC interpreter.
+"""Replay a counterexample through the SMC interpreter.
+
+Two witness forms replay here, each checked at every step that the
+scheduled thread is parked at the expected operation and that it is
+enabled:
+
+* :func:`replay_schedule` re-executes an explorer's schedule of visible
+  operations (``"t1: storeg x"``, ``"t0: nondet=3"``) deterministically;
+* :func:`replay_witness` drives an SMT engine's trace (below).
 
 The SMT engine's counterexample (:class:`repro.verify.witness.Trace`) is a
 linearization of the accepted partial order, annotated with model values.
@@ -28,20 +36,82 @@ thread -- raises :class:`ReplayError` with the offending step.
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from typing import Deque, Dict, Set, Union
+from typing import Deque, Dict, List, Optional, Set, Union
 
 from repro.lang import ast
 from repro.lang.parser import parse
-from repro.smc.compile import compile_program
-from repro.smc.interpreter import Interpreter
+from repro.smc.compile import CompiledProgram, compile_program
+from repro.smc.interpreter import ExecState, Interpreter
 
-__all__ = ["ReplayError", "replay_witness"]
+__all__ = ["ReplayError", "replay_schedule", "replay_witness"]
+
+_ENTRY = re.compile(
+    r"^(?P<tid>[^:]+): (?:(?P<kind>\w+)(?: (?P<addr>\w+))?|nondet=(?P<val>-?\d+))$"
+)
 
 
 class ReplayError(AssertionError):
     """The witness does not replay: some step disagrees with the concrete
     semantics (this indicates a verifier bug, hence an AssertionError)."""
+
+
+def _parked_at(
+    interp, state, tid: str, kind: str, addr: Optional[str], where: str
+) -> None:
+    """Check that ``tid`` is parked at an enabled ``kind`` op (on ``addr``
+    unless that is None); otherwise raise :class:`ReplayError` naming
+    ``where``."""
+    op = interp.front(state, tid)
+    if op is None:
+        raise ReplayError(
+            f"{where}: thread {tid!r} not schedulable (stuck, finished or blocked)"
+        )
+    if op.kind != kind or (addr is not None and op.addr != addr):
+        raise ReplayError(
+            f"{where}: expected {kind} {addr}, thread {tid!r} is at "
+            f"{op.kind} {op.addr}"
+        )
+    if not interp._is_enabled(state, op):
+        raise ReplayError(f"{where}: thread {tid!r} is blocked at {op.kind}")
+
+
+def replay_schedule(
+    program: Union[str, ast.Program, CompiledProgram],
+    schedule: List[str],
+    width: int = 8,
+    unwind: int = 8,
+) -> ExecState:
+    """Execute ``schedule`` step by step; returns the final state.
+
+    Raises :class:`ReplayError` if a scheduled thread is not parked at the
+    recorded operation or is disabled at its turn.
+    """
+    if isinstance(program, str):
+        program = parse(program)
+    if isinstance(program, ast.Program):
+        program = compile_program(program, width=width, unwind=unwind)
+    interp = Interpreter(program)
+    state = interp.initial_state()
+
+    for i, entry in enumerate(schedule):
+        m = _ENTRY.match(entry.strip())
+        if not m:
+            raise ReplayError(f"unparseable schedule entry {entry!r}")
+        tid = m.group("tid")
+        if tid not in state.threads:
+            raise ReplayError(f"step {i}: unknown thread {tid!r}")
+        value = 0
+        if m.group("val") is not None:
+            _parked_at(interp, state, tid, "nondet", None, f"step {i}")
+            value = int(m.group("val"))
+        else:
+            _parked_at(
+                interp, state, tid, m.group("kind"), m.group("addr"), f"step {i}"
+            )
+        interp.step(state, tid, value)
+    return state
 
 
 def replay_witness(
@@ -91,6 +161,12 @@ def replay_witness(
 
     def fail(step, why: str) -> None:
         raise ReplayError(f"witness replay failed at {step}: {why}")
+
+    def parked_at(step, kind: str, addr: Optional[str]) -> None:
+        _parked_at(
+            interp, state, step.thread, kind, addr,
+            f"witness replay failed at {step}",
+        )
 
     def flush_nondet(tid: str) -> bool:
         """Feed model nondet values while ``tid`` is parked at nondet."""
@@ -151,41 +227,31 @@ def replay_witness(
             continue
         tid = step.thread
         flush_nondet_all()
-        op = interp.front(state, tid)
-        if op is None:
-            fail(step, "thread not schedulable (stuck, finished or blocked)")
 
         if step.eid in acquire_write_of:
-            if op.kind != "lock" or op.addr != step.addr:
-                fail(step, f"expected lock({step.addr}), thread at {op.kind}")
-            if state.mem[step.addr] != 0:
-                fail(step, "lock not free at acquire")
+            # Enabled means the lock is free at the acquire.
+            parked_at(step, "lock", step.addr)
             interp.step(state, tid)
             consumed.add(acquire_write_of[step.eid])
         elif step.eid in acquire_writes:
             # The paired read was never seen first: linearization bug.
             fail(step, "lock-acquire write before its read")
         elif step.eid in region_of:
-            if op.kind != "abegin":
-                fail(step, f"expected atomic block, thread at {op.kind}")
-            if not interp._is_enabled(state, op):
-                fail(step, "atomic block disabled (failing assume)")
+            # Enabled means no assume inside the block fails.
+            parked_at(step, "abegin", None)
             interp.step(state, tid)
             consumed.update(region_of[step.eid])
         elif step.addr in lock_addrs:  # release store
-            if op.kind != "unlock" or op.addr != step.addr:
-                fail(step, f"expected unlock({step.addr}), thread at {op.kind}")
+            parked_at(step, "unlock", step.addr)
             interp.step(state, tid)
         elif step.kind == "R":
-            if op.kind != "loadg" or op.addr != step.addr:
-                fail(step, f"expected read of {step.addr}, thread at {op.kind}")
+            parked_at(step, "loadg", step.addr)
             got = state.mem[step.addr] & mask
             if got != step.value & mask:
                 fail(step, f"read observed {got}, model claims {step.value & mask}")
             interp.step(state, tid)
         else:
-            if op.kind != "storeg" or op.addr != step.addr:
-                fail(step, f"expected write of {step.addr}, thread at {op.kind}")
+            parked_at(step, "storeg", step.addr)
             interp.step(state, tid)
             got = state.mem[step.addr] & mask
             if got != step.value & mask:

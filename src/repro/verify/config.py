@@ -9,7 +9,24 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.oracle.audit import audit_enabled, parse_audit
 
-__all__ = ["VerifierConfig", "PRESETS", "ENV_VARS", "env_knob", "env_overrides"]
+__all__ = [
+    "VerifierConfig",
+    "PRESETS",
+    "ENV_VARS",
+    "doubling_schedule",
+    "env_knob",
+    "env_overrides",
+]
+
+
+def doubling_schedule(unwind: int) -> Tuple[int, ...]:
+    """The deepening bounds ``1, 2, 4, ...`` below ``unwind``, then
+    ``unwind``; empty (one-shot) when no bound lies below ``unwind``."""
+    bounds, b = [], 1
+    while b < unwind:
+        bounds.append(b)
+        b *= 2
+    return tuple(bounds) + (unwind,) if bounds else ()
 
 
 def _normalize_schedule(
@@ -20,13 +37,7 @@ def _normalize_schedule(
     one-shot; non-SMT engines are always one-shot."""
     if schedule is None:
         spec = env_knob("REPRO_UNWIND_SCHEDULE")
-        if spec == "doubling":
-            schedule, b = [], 1
-            while b < unwind:
-                schedule.append(b)
-                b *= 2
-        else:
-            schedule = spec
+        schedule = doubling_schedule(unwind) if spec == "doubling" else spec
     if not schedule or engine != "smt":
         return ()
     bounds = sorted({int(b) for b in schedule})

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from repro.encoding import formula as F
 from repro.ordering import EdgeKind
 
-__all__ = ["TraceStep", "Trace", "extract_trace"]
+__all__ = ["TraceStep", "Trace", "extract_trace", "model_trace"]
 
 
 @dataclass
@@ -116,13 +116,21 @@ class _ModelEnv(dict):
 
 def extract_trace(encoded) -> Trace:
     """Build a witness from a satisfied :class:`EncodedProgram`."""
-    sym = encoded.symbolic
-    solver = encoded.solver
-    graph = encoded.theory.graph
+    return model_trace(
+        encoded.symbolic, encoded.solver, encoded.blaster,
+        encoded.guard_lits, encoded.theory.graph,
+    )
 
+
+def model_trace(sym, solver, blaster, guard_lits, graph) -> Trace:
+    """Build a witness from a satisfying model of any SAT engine: the
+    events whose guard literal (``guard_lits``) is true, linearized along
+    ``graph`` (an event graph whose active edges are the model's orders),
+    with the model's values of their SSA variables and ``nondet()``
+    sites read through ``blaster``."""
     enabled = []
     for ev in sym.memory_events():
-        if solver.model_lit(encoded.guard_lits[ev.eid]):
+        if solver.model_lit(guard_lits[ev.eid]):
             enabled.append(ev)
     # Guard-disabled events never reach the trace, but they can carry
     # spurious-yet-consistent RF/WS/FR edges (e.g. the IDL baseline's
@@ -144,14 +152,14 @@ def extract_trace(encoded) -> Trace:
     width = sym.width
     steps = []
     for ev in enabled:
-        raw = encoded.blaster.bv_value(ev.ssa_name)
+        raw = blaster.bv_value(ev.ssa_name)
         if raw & (1 << (width - 1)):
             raw -= 1 << width  # display as signed
         steps.append(
             TraceStep(ev.thread, ev.kind, ev.addr, raw, ev.label, eid=ev.eid)
         )
 
-    env = _ModelEnv(encoded.blaster)
+    env = _ModelEnv(blaster)
     nondet_values: List[Tuple[str, str, int]] = []
     for thread, ssa_name, guard in getattr(sym, "nondet_sites", ()):
         try:
@@ -160,7 +168,7 @@ def extract_trace(encoded) -> Trace:
         except Exception:
             pass  # keep the value: a superfluous entry is harmless
         try:
-            value = encoded.blaster.bv_value(ssa_name)
+            value = blaster.bv_value(ssa_name)
         except Exception:
             value = 0  # unconstrained nondet never blasted
         nondet_values.append((thread, ssa_name, value))

@@ -1,11 +1,18 @@
 """The prune plan: rule-level unit tests against the encoder."""
 
+import os
+from dataclasses import asdict
+
 from repro.analysis.prune import build_prune_plan
 from repro.encoding.encoder import encode_program
 from repro.frontend import build_symbolic_program
 from repro.lang import parse
 from repro.sat import SolveResult
 from tests.verify.programs import LOCKED_COUNTER_SAFE
+
+EXAMPLES = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "examples", "programs"
+)
 
 
 def _sym(source, unwind=4):
@@ -25,6 +32,16 @@ class TestPlanConstruction:
         plan = build_prune_plan(_sym(LOCKED_COUNTER_SAFE), 0)
         assert plan.level == 0
         assert plan.po_reach == []
+
+    def test_level_zero_plan_encodes_as_no_plan(self):
+        with open(os.path.join(EXAMPLES, "counter_racy.c")) as fh:
+            racy = fh.read()
+        for source in (racy, LOCKED_COUNTER_SAFE):
+            base, level0 = _encode_pair(source, level=0)
+            assert asdict(level0.stats) == asdict(base.stats)
+            assert level0.solver.nvars == base.solver.nvars
+            assert level0.theory.ordering_edges() == base.theory.ordering_edges()
+            assert level0.solver.solve() == base.solver.solve()
 
     def test_level_one_skips_lock_facts(self):
         plan = build_prune_plan(_sym(LOCKED_COUNTER_SAFE), 1)

@@ -28,7 +28,7 @@ def encode(src, unwind=2, level=2, symmetric=True, **kw):
     sym = build_symbolic_program(
         parse(src), unwind=unwind, unwind_assumptions=kw.pop("schedule", False)
     )
-    plan = build_prune_plan(sym, level) if level else None
+    plan = build_prune_plan(sym, level)
     if not symmetric:
         plan.symmetric_threads = []
     return encode_program(sym, prune_plan=plan, **kw)

@@ -103,7 +103,7 @@ class TestRunProgram:
             api_mod, "verify",
             lambda src, cfg: FakeResult(Verdict.UNSAFE, witness=bogus),
         )
-        specs = [fake_spec(replayable=True)]
+        specs = [fake_spec()]
         _, findings = run_program(RACY, specs, replay=True)
         assert [f.kind for f in findings] == ["bad_witness"]
 

@@ -34,9 +34,6 @@ class TestBuildMatrix:
             s.sound_unsafe for s in by_key.values()
         ), "no engine claims unsound UNSAFE"
 
-    def test_replayable_engines_exist(self):
-        assert any(s.replayable for s in build_matrix("quick"))
-
 
 class TestMakeConfig:
     def test_returns_config_with_requested_knobs(self):

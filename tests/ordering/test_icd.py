@@ -175,7 +175,7 @@ class TestSearchSets:
         # Backward search from 3 reaches 1 via vars 6, 5.
         nodes, pars = bounded_backward(g, 3, 0, g.new_epoch())
         memo = {}
-        assert sorted(path_reason(g, 1, dict(zip(nodes, pars)), True, memo)) == [5, 6]
+        assert sorted(path_reason(1, dict(zip(nodes, pars)), True, memo)) == [5, 6]
         assert memo[2] == [6]  # the shared prefix is memoized
 
 

@@ -1,8 +1,6 @@
 """Incremental re-solve protocol of the ordering theory: reset between
-queries (backjump to level 0), event-graph extension between solves, and
-state restoration under alternating assumptions."""
-
-import pytest
+queries (backjump to level 0) and state restoration under alternating
+assumptions."""
 
 from repro.ordering import OrderingTheory
 from repro.sat import SolveResult, Solver
@@ -54,42 +52,3 @@ class TestResetBetweenSolves:
         theory.reset()
         assert theory.graph.n_active_edges == 1
 
-
-class TestExtendBetweenSolves:
-    def test_extend_grows_graph_and_detects_cross_cycles(self):
-        solver, theory = make(2, [(0, 1)])
-        assert solver.solve() == SolveResult.SAT
-        theory.reset()
-        theory.extend(3, po_edges=[(1, 2)])
-        c = new_ws(solver, theory, 2, 0)
-        # 0 ->po 1 ->po 2 ->ws 0 closes a cycle across old and new events.
-        assert solver.solve(assumptions=[c]) == SolveResult.UNSAT
-        assert solver.unsat_core == [c]
-        assert solver.solve(assumptions=[-c]) == SolveResult.SAT
-
-    def test_extend_updates_po_reachability(self):
-        solver, theory = make(2, [(0, 1)])
-        theory.extend(4, po_edges=[(1, 2), (2, 3)])
-        assert (theory.po_reach[0] >> 3) & 1  # 0 reaches 3 through the delta
-        # A pre-contradicted variable in the extended region is fixed false.
-        v = new_ws(solver, theory, 3, 0)
-        assert [-v] in theory.initial_unit_clauses()
-
-    def test_extend_cannot_shrink(self):
-        _, theory = make(3, [])
-        with pytest.raises(ValueError):
-            theory.extend(2)
-
-    def test_extend_rejects_cyclic_po(self):
-        _, theory = make(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            theory.extend(2, po_edges=[(1, 0)])
-
-    def test_extend_preserves_topological_consistency(self):
-        # New nodes get the largest order labels; the ICD order must stay a
-        # permutation so subsequent insertions behave.
-        _, theory = make(3, [(0, 1)])
-        theory.extend(6, po_edges=[(3, 4), (4, 5), (1, 3)])
-        g = theory.graph
-        assert g.n == 6
-        assert sorted(g.ord) == list(range(6))

@@ -42,6 +42,21 @@ def test_confirmation_runs_both_oracles(capsys):
     assert "concrete execution: CONFIRMED" in out
 
 
+def test_replay_error_is_reported_not_raised(monkeypatch, capsys):
+    import repro.smc.witness_replay as witness_replay
+
+    def broken(*args, **kwargs):
+        raise witness_replay.ReplayError("step 3 disagrees")
+
+    monkeypatch.setattr(witness_replay, "replay_witness", broken)
+    code = main(
+        ["verify-py", example("dcl_unsafe.py"), "--confirm-trials", "0"]
+    )
+    out = capsys.readouterr().out
+    assert code == EXIT_UNSAFE
+    assert "symbolic replay: FAILED (step 3 disagrees)" in out
+
+
 def test_subset_violation_exits_one_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(

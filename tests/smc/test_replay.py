@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang import parse
-from repro.smc import Explorer, compile_program
+from repro.smc import Explorer, ReplayError, compile_program, replay_schedule
 from repro.smc.interpreter import Interpreter
-from repro.smc.replay import ReplayError, replay_schedule
 
 UNSAFE = """
 int x = 0;

@@ -3,6 +3,8 @@ preset must come with a witness whose value order, replayed through the
 concrete SMC interpreter, actually drives the program into a failed
 assertion."""
 
+import os
+
 import pytest
 
 from repro.smc.witness_replay import ReplayError, replay_witness
@@ -26,6 +28,10 @@ thread t1 { atomic { c = c + 1; } }
 thread t2 { atomic { c = c + 1; } }
 main { start t1; start t2; join t1; join t2; assert(c == 3); }
 """
+
+EXAMPLES = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "examples", "programs"
+)
 
 NONDET_LOOP_UNSAFE = """
 int x = 0;
@@ -77,3 +83,19 @@ def test_corrupted_witness_is_rejected():
     with pytest.raises(ReplayError):
         if not replay_witness(source, trace):
             raise ReplayError("replay completed without violation")
+
+
+@pytest.mark.parametrize("name", ["counter_racy.c", "nondet_loop_racy.c"])
+@pytest.mark.parametrize("unwind", [4, 8])
+def test_dartagnan_witnesses_replay(name, unwind):
+    """The closure baseline builds its trace with the SMT engine's
+    extractor, so its steps carry event ids, lock and atomic groups stay
+    adjacent and nondet values are recorded: the witness replays."""
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        source = fh.read()
+    config = VerifierConfig.dartagnan(unwind=unwind)
+    result = verify(source, config)
+    assert result.is_unsafe
+    assert replay_witness(
+        source, result.witness, width=config.width, unwind=config.unwind
+    )
