@@ -5,7 +5,9 @@ on its own (Hadarean, Horn and King, PAPERS.md).  The SYMMETRY edges
 (``repro.encoding.symmetry``, prune level 2) order the first events of
 interchangeable threads.  This bench reports conflicts and wall time on
 the ``mutex-counter`` grid (n threads, k locked increments each, unwind
-4) and ``ticket-lock`` 2-4 for
+4), ``ticket-lock`` 2-4 and the ``fib`` family (two threads that are
+clones up to the variable each one updates, r rounds at unwind r + 1:
+its edge needs the address-renaming swap) for
 
 * ``zord/prune1`` -- Zord without the edges (prune level 1),
 * ``zord`` -- Zord with them (the default level 2),
@@ -24,7 +26,7 @@ import sys
 import time
 
 from repro.bench.patterns import ticket_lock
-from repro.bench.svcomp import _mutex_counter
+from repro.bench.svcomp import _fib_like, _mutex_counter
 from repro.verify import VerifierConfig, verify
 
 CONFIGS = {
@@ -38,12 +40,18 @@ CONFIGS = {
 FAST_ROWS = [
     (f"mutex-counter-{n}x{k}", _mutex_counter(n, k, True), 4)
     for n, k in ((2, 1), (2, 2), (3, 1), (2, 3), (4, 1), (3, 2))
-] + [("ticket-lock-2", ticket_lock(2), 4)]
+] + [("ticket-lock-2", ticket_lock(2), 4)] + [
+    (f"fib-{r}", _fib_like(r, True), r + 1) for r in (2, 3)
+]
 
 SLOW_ROWS = [
     (f"mutex-counter-{n}x{k}", _mutex_counter(n, k, True), 4)
     for n, k in ((3, 3), (4, 2))
-] + [("ticket-lock-3", ticket_lock(3), 5), ("ticket-lock-4", ticket_lock(4), 6)]
+] + [
+    ("ticket-lock-3", ticket_lock(3), 5),
+    ("ticket-lock-4", ticket_lock(4), 6),
+    ("fib-4", _fib_like(4, True), 5),
+]
 
 
 def measure(rows):

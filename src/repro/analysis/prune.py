@@ -41,8 +41,9 @@ Release writes (value 0) and the init write are *not* pruned as sources.
 
 **SYMMETRY** (level >= 2, SC only).  Unlike the four rules above it
 does not preserve the set of models, only satisfiability: threads whose
-event lists agree position by position (kind, address, whether the
-guard is constant true) are listed as candidate groups, and the encoder
+event lists agree position by position (kind, address up to a renaming
+of addresses by an involution, whether the guard is constant true) are
+listed as candidate groups, and the encoder
 orders the first events of interchangeable threads once it has checked
 that swapping two of them maps the whole encoding onto itself (see
 :mod:`repro.encoding.symmetry`).  Any execution can be renamed into one
@@ -62,13 +63,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.analysis.lockset import compute_locksets, guard_implies
 from repro.analysis.mhp import program_reachability
 from repro.encoding import formula as F
-from repro.frontend.program import Event, EventKind, SymbolicProgram
+from repro.frontend.program import Event, EventKind, SymbolicProgram, ThreadEvents
 from repro.robustness import checkpoint as _robustness_checkpoint
 
 __all__ = [
     "PrunePlan",
     "build_prune_plan",
     "symmetric_thread_groups",
+    "address_swap",
     "MAX_PRUNE_LEVEL",
 ]
 
@@ -155,19 +157,47 @@ def build_prune_plan(sym: SymbolicProgram, level: int) -> PrunePlan:
 
 def symmetric_thread_groups(sym: SymbolicProgram) -> List[List[str]]:
     """Groups of started threads whose events agree position by position
-    in kind, address and whether the guard is constant true, and whose
-    first memory event is unconditional.  A cheap filter: the encoder
-    checks the swap of two group members against the whole encoding
-    before it relies on it."""
-    groups: Dict[tuple, List[str]] = {}
+    in kind, address up to a renaming and whether the guard is constant
+    true, and whose first memory event is unconditional.  Adjacent
+    members rename addresses by an involution (:func:`address_swap`).  A
+    cheap filter: the encoder checks the swap of two group members
+    against the whole encoding before it relies on it."""
+    classes: Dict[tuple, List[ThreadEvents]] = {}
     for thread in sym.threads[1:]:
         first = next(
             (e for e in thread.events if e.kind != EventKind.ANCHOR), None
         )
         if first is None or first.guard is not F.TRUE:
             continue
+        index: Dict[Optional[str], int] = {None: -1}
         shape = tuple(
-            (e.kind, e.addr, e.guard is F.TRUE) for e in thread.events
+            (e.kind, index.setdefault(e.addr, len(index)), e.guard is F.TRUE)
+            for e in thread.events
         )
-        groups.setdefault(shape, []).append(thread.name)
-    return [names for names in groups.values() if len(names) > 1]
+        classes.setdefault(shape, []).append(thread)
+    groups: List[List[str]] = []
+    for members in classes.values():
+        run = [members[0]]
+        for thread in members[1:]:
+            if address_swap(run[-1].events, thread.events) is None:
+                if len(run) > 1:
+                    groups.append([t.name for t in run])
+                run = []
+            run.append(thread)
+        if len(run) > 1:
+            groups.append([t.name for t in run])
+    return groups
+
+
+def address_swap(
+    te: Sequence[Event], ue: Sequence[Event]
+) -> Optional[Dict[str, str]]:
+    """The involution of addresses that maps the events of one thread
+    onto the other's, position by position, as ``{address: image}``
+    over the moved addresses; None when no involution does."""
+    image: Dict[Optional[str], Optional[str]] = {}
+    for a, b in zip(te, ue):
+        x, y = a.addr, b.addr
+        if image.setdefault(x, y) != y or image.setdefault(y, x) != x:
+            return None
+    return {x: y for x, y in image.items() if x != y}

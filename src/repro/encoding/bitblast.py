@@ -82,6 +82,13 @@ class BitBlaster:
         differing bit pair and no variables."""
         self._assert_or((-premise,), term)
 
+    def define_eq(self, premise: int, a: Term, b: Term) -> None:
+        """:meth:`imply_term` for ``premise -> a = b`` over two bit-vector
+        variables, given as definitions (:meth:`CnfBuilder.define`): the
+        clauses are a function of ``premise`` and the two bit lists."""
+        if a is not b:
+            self._assert_eq((-premise,), a, b, define=True)
+
     def bool_value(self, name: str) -> bool:
         """Model value of a Boolean variable (after SAT)."""
         return self.builder.solver.model_lit(self._bool_vars[name])
@@ -130,9 +137,12 @@ class BitBlaster:
             return
         self.builder.add_clause(list(side) + [self.blast_bool(term)])
 
-    def _assert_eq(self, side: Sequence[int], a: Term, b: Term) -> None:
+    def _assert_eq(
+        self, side: Sequence[int], a: Term, b: Term, define: bool = False
+    ) -> None:
         """Assert ``side ∨ a = b``: alias an undefined variable at the top
-        level, otherwise ``x_i <-> y_i`` per differing bit pair."""
+        level, otherwise ``x_i <-> y_i`` per differing bit pair (as
+        definitions when ``define``)."""
         if not side:
             var, value = (a, b) if self._unbound(a) else (b, a)
             if self._unbound(var):
@@ -146,14 +156,17 @@ class BitBlaster:
         # clauses is satisfied and the other loses its constant.
         builder = self.builder
         t = builder.true_lit
-        add = builder.solver.add_clause
+        if define:
+            fold, add = builder.define, builder._define
+        else:
+            fold, add = builder.add_clause, builder.solver.add_clause
         for x, y in zip(self.blast_bv(a), self.blast_bv(b)):
             if x == y:
                 continue
             if x == t or x == -t:
-                builder.add_clause([*side, y if x == t else -y])
+                fold([*side, y if x == t else -y])
             elif y == t or y == -t:
-                builder.add_clause([*side, x if y == t else -x])
+                fold([*side, x if y == t else -x])
             else:
                 add([*side, -x, y])
                 add([*side, x, -y])

@@ -15,10 +15,12 @@ the same clause, since ``t`` is true at level 0 (``docs/SATCORE.md``).
 :meth:`CnfBuilder.gates` tells which gate each output variable is (the
 symmetry check of :mod:`repro.encoding.symmetry` maps gates through it):
 AND/OR and XOR gates are read off their caches, ITE gates, which are not
-cached, off a log.  Gate definitions go to ``solver.add_clause`` as it
-was when the builder was made: a definition is a function of the gate's
-inputs, so the symmetry check covers them by mapping gates to gates and
-records only the clauses given later through other paths.
+cached, off a log.  Gate definitions, and the other clauses given
+through :meth:`CnfBuilder.define`, go to ``solver.add_clause`` as it
+was when the builder was made: a definition is a function of the
+literals it relates, so the symmetry check covers it by mapping those
+literals (a gate's inputs to another gate's) and records only the
+clauses given later through other paths.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ class CnfBuilder:
         if -t in lits:
             lits = [lit for lit in lits if lit != -t]
         self.solver.add_clause(lits)
+
+    def define(self, lits: List[int]) -> None:
+        """:meth:`add_clause` for a clause that is a function of the
+        literals it relates, as a gate definition is: it goes to the
+        solver the way gate definitions do."""
+        t = self._true
+        if t in lits:
+            return
+        if -t in lits:
+            lits = [lit for lit in lits if lit != -t]
+        self._define(lits)
 
     def fix(self, lit: int) -> None:
         """Assert ``lit`` at the top level."""

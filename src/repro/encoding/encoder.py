@@ -242,7 +242,7 @@ def encode_program(
                 g_w = enc.guard_lits[w.eid]
                 builder.imply(var, g_r)
                 builder.imply(var, g_w)
-                blaster.imply_term(var, F.eq(value_var(r), value_var(w)))
+                blaster.define_eq(var, value_var(r), value_var(w))
                 rf_lits.append(var)
                 enc.stats.rf_vars += 1
                 if enc.stats.rf_vars & 0x3FF == 0:
@@ -378,9 +378,10 @@ def encode_program(
         for done, cond in sym.unwind_conds:
             unwind_lits.setdefault(done, set()).add(blaster.blast_bool(cond))
         clauses = recorder.close()
-        swaps = thread_swaps(enc, builder, groups, clauses, unwind_lits)
-        theory.add_symmetry_edges(swaps)
-        enc.stats.symmetry_edges = len(swaps)
+        if not recorder.refuted:  # else the edges cannot save a conflict
+            swaps = thread_swaps(enc, builder, groups, clauses, unwind_lits)
+            theory.add_symmetry_edges(swaps)
+            enc.stats.symmetry_edges = len(swaps)
 
     enc.stats.sat_vars = solver.nvars
     enc.stats.sat_clauses = solver.num_clauses

@@ -293,11 +293,21 @@ class ProofChecker:
                 f"symmetry edges {[s[0] for s in self.swaps]} do not form "
                 f"disjoint chains"
             )
+        chains = _chain_ends(self._program_reach, nodes)
+        component = _components(self.edges.values())
         for swap in self.swaps:
-            self._check_swap(swap, keys, ends, nodes)
+            self._check_swap(swap, keys, ends, nodes, chains, component)
         self.symmetries = len(self.swaps)
 
-    def _check_swap(self, swap: Swap, keys: set, ends: set, nodes: set) -> None:
+    def _check_swap(
+        self,
+        swap: Swap,
+        keys: set,
+        ends: set,
+        nodes: set,
+        chains: Tuple[set, set],
+        component: Dict[int, int],
+    ) -> None:
         (a, b), events, variables = swap
         where = f"symmetry edge {a}->{b}"
         if events.get(a) != b or any(
@@ -324,11 +334,19 @@ class ProofChecker:
                     f"swapped edge"
                 )
         reach = self._program_reach
+        # A pair of initial (or final) nodes that no registered edge path
+        # joins may be reordered when the swap keeps both chains
+        # (docs/ORACLE.md).
+        kept = all(events.get(x, x) in chain for chain in chains for x in chain)
         for x in nodes:
             mask = reach.get(x, 0)
             for y in nodes:
                 if (mask >> y & 1) != (
                     reach.get(events.get(x, x), 0) >> events.get(y, y) & 1
+                ) and not (
+                    kept
+                    and component.get(x, x) != component.get(y, y)
+                    and any(x in chain and y in chain for chain in chains)
                 ):
                     raise AuditError(
                         f"{where}: its swap does not keep program order "
@@ -412,6 +430,37 @@ def _image(variables: Dict[int, int], lit: int) -> int:
     if lit > 0:
         return variables.get(lit, lit)
     return -variables.get(-lit, -lit)
+
+
+def _chain_ends(reach: Dict[int, int], nodes: set) -> Tuple[set, set]:
+    """The initial and the final ``nodes`` under program order ``reach``.
+    An initial node is ordered with every node and only initial nodes
+    come before it; a final node is the mirror image."""
+    after = {x: {y for y in nodes if reach.get(x, 0) >> y & 1} for x in nodes}
+    before: Dict[int, set] = {x: set() for x in nodes}
+    for x, ys in after.items():
+        for y in ys:
+            before[y].add(x)
+    total = {x for x in nodes if len(after[x]) + len(before[x]) == len(nodes) - 1}
+    return (
+        {x for x in total if before[x] <= total},
+        {x for x in total if after[x] <= total},
+    )
+
+
+def _components(edges) -> Dict[int, int]:
+    """Node -> a representative of its connected component under the
+    registered ordering edges ``(kind, src, dst)``."""
+    parent: Dict[int, int] = {}
+
+    def root(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for _, a, b in edges:
+        parent[root(a)] = root(b)
+    return {x: root(x) for x in parent}
 
 
 def _closure(po: List[Tuple[int, int]]) -> Dict[int, int]:

@@ -14,10 +14,15 @@ the shared state, so every program has a property to disagree about.
 Symmetric mode: one seed in :data:`SYMMETRIC_EVERY` (outside the Python
 profile) clones one thread body two or three times with renamed locals,
 the shape the encoder's symmetry breaking orders
-(:mod:`repro.encoding.symmetry`).  About a third of these programs carry
-one planted asymmetry -- a constant changed in one clone, ``main``
-writing shared memory between two ``start``s, or an assertion in one
-clone only -- which that breaking must refuse.
+(:mod:`repro.encoding.symmetry`).  In about half of them each clone also
+owns one or two shared variables (``p<j>_<i>`` for clone ``i``), which
+``main`` sets to equal values before the ``start``s and asserts the same
+bound on after the ``join``s: clones up to an address renaming.  About
+a third of these programs carry one planted asymmetry -- a constant
+changed in one clone, ``main`` writing shared memory between two
+``start``s, an assertion in one clone only, or (with owned variables)
+one clone's variable set to another initial value -- which that
+breaking must refuse.
 
 Determinism: all randomness flows from one ``random.Random(seed)``; the
 same seed always yields the identical program (this is what makes a
@@ -293,17 +298,28 @@ class _Gen:
 
     # -- symmetric threads ----------------------------------------------
 
-    def _clones(self) -> List[ast.ThreadDef]:
+    def _clones(self, owned: int) -> List[ast.ThreadDef]:
         """Two or three threads running one body, each with its own
-        locals."""
+        locals and, when ``owned``, its own ``owned`` shared variables:
+        clone ``i`` uses ``p<j>_<i>`` where the first uses ``p<j>_0``."""
         r = self.rng
+        common = self.shared
+        self.shared = common + [f"p{j}_0" for j in range(owned)]
         body = self._thread_body()
+        self.shared = common
+        used = {n.name for n in _nodes(body) if isinstance(n, (ast.VarRef, ast.Assign))}
+        for j in range(owned):
+            v = f"p{j}_0"
+            if v not in used:
+                bump = ast.Binary("+", ast.VarRef(v), ast.IntLit(r.randint(1, 2)))
+                body.insert(r.randint(0, len(body)), ast.Assign(v, bump))
         declared = sorted(
             {n.name for n in _nodes(body) if isinstance(n, ast.LocalDecl)}
         )
         threads = [ast.ThreadDef("t0", body)]
         for i in range(1, min(r.randint(2, 3), self.cfg.max_threads)):
             names = {name: self._fresh_local() for name in declared}
+            names.update((f"p{j}_0", f"p{j}_{i}") for j in range(owned))
             threads.append(ast.ThreadDef(f"t{i}", _copied(body, names, {})))
         return threads
 
@@ -332,10 +348,14 @@ class _Gen:
         globals_ += [ast.GlobalDecl(m, 0, is_lock=True) for m in self.locks]
 
         plant = None
+        owned = 0
         if self.symmetric:
-            threads = self._clones()
+            if r.random() < 0.5:
+                owned = r.randint(1, 2)
+            threads = self._clones(owned)
             if r.random() < 1 / 3:
-                plant = r.choice(("constant", "main-write", "assert"))
+                plants = ["constant", "main-write", "assert"]
+                plant = r.choice(plants + ["init"] if owned else plants)
                 if plant == "constant" and not self._bump_constant(threads):
                     plant = "assert"
                 if plant == "assert":
@@ -348,8 +368,21 @@ class _Gen:
                 ast.ThreadDef(f"t{i}", self._thread_body())
                 for i in range(n_threads)
             ]
-
+        # Owned variables: equal initial values, set again by main before
+        # the starts (the last clone's differently for an "init" plant).
+        owned_vars = [
+            [f"p{j}_{i}" for i in range(len(threads))] for j in range(owned)
+        ]
         main_body: List[ast.Stmt] = []
+        for clones in owned_vars:
+            value = r.randint(0, 2)
+            globals_ += [ast.GlobalDecl(v, value) for v in clones]
+            main_body += [ast.Assign(v, ast.IntLit(value)) for v in clones]
+        if plant == "init":
+            main_body[-1] = ast.Assign(
+                main_body[-1].name, ast.IntLit(main_body[-1].value.value + 1)
+            )
+
         locals_: List[str] = []
         # Occasionally do some main-thread work before the starts.
         for _ in range(r.randint(0, 1)):
@@ -358,7 +391,10 @@ class _Gen:
             main_body.append(ast.Start(t.name))
             if plant == "main-write" and i == 0:
                 main_body.append(
-                    ast.Assign(r.choice(self.shared), ast.IntLit(r.randint(0, 3)))
+                    ast.Assign(
+                        r.choice(self.shared + [v[1] for v in owned_vars]),
+                        ast.IntLit(r.randint(0, 3)),
+                    )
                 )
             elif not self.symmetric and r.random() < 0.25:
                 main_body.extend(self._stmt(locals_, 0))
@@ -366,8 +402,15 @@ class _Gen:
         r.shuffle(join_order)
         for t in join_order:
             main_body.append(ast.Join(t.name))
-        # The property: one or two assertions over the final shared state.
-        for _ in range(r.randint(1, 2)):
+        # The property: one or two assertions over the final shared state;
+        # over owned variables, the same assertion for every clone's.
+        for clones in owned_vars:
+            op, bound = r.choice(_CMP_OPS), r.randint(0, 6)
+            for v in clones:
+                main_body.append(
+                    ast.Assert(ast.Binary(op, ast.VarRef(v), ast.IntLit(bound)))
+                )
+        for _ in range(r.randint(1, 2) if not owned else r.randint(0, 1)):
             g = r.choice(self.shared)
             roll = r.random()
             if roll < 0.5:

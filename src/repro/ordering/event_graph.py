@@ -23,7 +23,7 @@ search O(1) visited state without per-search set/dict allocation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["EdgeKind", "Edge", "EventGraph"]
 
@@ -119,9 +119,6 @@ class EventGraph:
         """Pre-create an RF/WS edge in inactive state (Section 5.4)."""
         self.inactive_out[edge.src].setdefault(edge.dst, []).append(edge)
 
-    def inactive_edges_between(self, src: int, dst: int) -> List[Edge]:
-        return self.inactive_out[src].get(dst, [])
-
     # ------------------------------------------------------------------
     # Activation (adjacency maintenance only; cycle checks live in the
     # detectors)
@@ -153,28 +150,3 @@ class EventGraph:
         if edge.var is not None:
             self.inactive_out[edge.src].setdefault(edge.dst, []).append(edge)
         self.n_active_edges -= 1
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def active_edges(self) -> Iterable[Edge]:
-        for edges in self.out:
-            yield from edges
-
-    def has_path(self, src: int, dst: int) -> bool:
-        """Reachability over active edges (non-incremental; testing aid)."""
-        if src == dst:
-            return True
-        seen = [False] * self.n
-        stack = [src]
-        seen[src] = True
-        while stack:
-            u = stack.pop()
-            for e in self.out[u]:
-                if e.dst == dst:
-                    return True
-                if not seen[e.dst]:
-                    seen[e.dst] = True
-                    stack.append(e.dst)
-        return False

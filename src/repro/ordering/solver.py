@@ -213,9 +213,14 @@ class OrderingTheory(Theory):
                 raise ValueError(f"symmetry edge {a}->{b} closes a cycle")
             self.symmetries.append(swap)
         if swaps:
-            self._po_reach = self._compute_po_reachability(
-                self.graph.n, self._po_edges + [s.edge for s in self.symmetries]
-            )
+            reach = list(self._po_reach)
+            for swap in swaps:
+                a, b = swap.edge
+                gain = reach[b] | 1 << b
+                for x, mask in enumerate(reach):
+                    if x == a or mask >> a & 1:
+                        reach[x] = mask | gain
+            self._po_reach = reach
             self._cand_stale = self._back_stale = True
 
     # ------------------------------------------------------------------

@@ -28,6 +28,8 @@ _EXAMPLES = sorted(
 _PINNED = {
     "counter_racy.c": (66, 199),
     "counter_safe.c": (92, 225),
+    "fib_swap_asym_safe.c": (278, 813),
+    "fib_swap_safe.c": (278, 813),
     "nondet_loop_racy.c": (281, 889),
     "sb_dead_fence.c": (50, 93),
 }

@@ -164,6 +164,90 @@ class TestRefusal:
         assert result.is_safe and result.stats["symmetry_edges"] == 0
 
 
+FIB = """
+int a = 1, b = 1;
+thread ta { int i; i = 0; while (i < 2) { int t; t = b; a = a + t; i = i + 1; } }
+thread tb { int j; j = 0; while (j < 2) { int t; t = a; b = b + t; j = j + 1; } }
+main { start ta; start tb; join ta; join tb; assert(a < 9 && b < 9); }
+"""
+
+
+class TestRenamedAddresses:
+    """Threads that are clones up to the shared variables they own: the
+    swap renames ``a`` and ``b`` and exchanges main's events on them."""
+
+    def test_fib_gets_one_edge(self):
+        enc = encode(FIB, unwind=3)
+        first = first_events(enc)
+        assert [s.edge for s in enc.theory.symmetries] == [(first["ta"], first["tb"])]
+        (swap,) = enc.theory.symmetries
+        main = {e.eid: e for e in enc.symbolic.threads[0].events if e.kind != "A"}
+        moved = {main[x].addr: main[y].addr for x, y in swap.events.items() if x in main}
+        assert moved == {"a": "b", "b": "a"}
+        assert enc.solver.solve() == SolveResult.UNSAT
+
+    def test_fewer_conflicts_same_verdict_and_certified(self):
+        with_edges = api.verify(FIB, zord(unwind=3, audit=True))
+        without = api.verify(FIB, zord(unwind=3, prune_level=1))
+        assert with_edges.is_safe and without.is_safe
+        assert with_edges.stats["symmetry_edges"] == 1
+        assert with_edges.stats["certify_symmetries"] == 1
+        assert with_edges.stats["conflicts"] < without.stats["conflicts"]
+
+    def test_unsafe_bound_still_found(self):
+        result = api.verify(FIB.replace("< 9", "< 8"), zord(unwind=3))
+        assert result.verdict == "unsafe"
+        assert result.stats["symmetry_edges"] == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("int a = 1, b = 1;", "int a = 1, b = 2;"),
+            ("start ta; start tb;", "start ta; a = 1; start tb;"),
+            ("main {", "thread tc { int x; x = a; x = b; }\nmain {"),
+            ("a < 9 && b < 9", "a < 9 && b < 10"),
+        ],
+        ids=["initial-values", "main-write", "third-thread", "assert"],
+    )
+    def test_near_symmetric_clones_are_refused(self, old, new):
+        assert old in FIB
+        src = FIB.replace(old, new)
+        if "tc" in new:
+            src = src.replace("start tb;", "start tb; start tc;")
+            src = src.replace("join tb;", "join tb; join tc;")
+        assert build_prune_plan(encode(src, unwind=3).symbolic, 2).symmetric_threads == [
+            ["ta", "tb"]
+        ]
+        assert encode(src, unwind=3).stats.symmetry_edges == 0
+
+    def test_value_copied_out_of_a_renamed_variable_is_refused(self):
+        # ``c = a`` makes main's write to c carry the bits main read from
+        # a. The swap moves that read, not the write, so the write's
+        # read-from definitions would not map onto definitions: only
+        # the check that an unmoved endpoint keeps its value bits sees it.
+        src = FIB.replace("int a = 1, b = 1;", "int a = 1, b = 1, c = 0, d = 0;")
+        src = src.replace(
+            "assert(a < 9 && b < 9);", "c = a; d = b; assert(c < 9 && d < 9);"
+        )
+        enc = encode(src, unwind=3)
+        assert build_prune_plan(enc.symbolic, 2).symmetric_threads == [["ta", "tb"]]
+        assert enc.stats.symmetry_edges == 0
+
+    def test_threads_run_one_after_the_other_get_no_edge(self):
+        # Every event is initial and final, so the swap keeps the
+        # reachability check; program order already orders the threads.
+        src = """
+        int x = 0, y = 0;
+        thread s1 { x = nondet(); }
+        thread s2 { y = nondet(); }
+        main { start s1; join s1; start s2; join s2; assert(x != 5 || y != 5); }
+        """
+        assert build_prune_plan(encode(src).symbolic, 2).symmetric_threads == [
+            ["s1", "s2"]
+        ]
+        assert encode(src).stats.symmetry_edges == 0
+
+
 def test_checker_admits_the_encoders_swaps():
     with audit_scope(True):
         enc = encode(COUNTER)

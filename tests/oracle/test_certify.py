@@ -185,6 +185,45 @@ class TestSymmetryEdges:
             c.certify_unsat([3], [3])
 
 
+class TestInitialEvents:
+    """Events: main's initial writes 0 (to ``a``) and 1 (to ``b``), in
+    that program order, then 2 and 3, the first events of two threads on
+    ``a`` and ``b``.  Variables 1/2 are ws(0, 2)/ws(1, 3).  The swap
+    exchanges the threads and renames ``a`` and ``b``, so it reverses
+    main's two writes; it justifies the edge 2 -> 3."""
+
+    EDGES = {1: ("ws", 0, 2), 2: ("ws", 1, 3)}
+    PO = [(0, 1), (1, 2), (1, 3)]
+    SWAP = ((2, 3), {0: 1, 1: 0, 2: 3, 3: 2}, {1: 2, 2: 1})
+
+    def admit(self, edges=EDGES, po=PO, swap=SWAP):
+        c = ProofChecker()
+        c.check([("input", [1, 2])], (dict(edges), list(po), [swap]))
+        return c
+
+    def test_unlinked_initial_events_may_be_reordered(self):
+        assert self.admit().symmetries == 1
+
+    def test_linked_initial_events_may_not(self):
+        # ws(0, 1) and ws(1, 0) join the two writes' components.
+        edges = {**self.EDGES, 3: ("ws", 0, 1), 4: ("ws", 1, 0)}
+        swap = (self.SWAP[0], self.SWAP[1], {1: 2, 2: 1, 3: 4, 4: 3})
+        with pytest.raises(AuditError, match="program order between events 0 and 1"):
+            self.admit(edges=edges, swap=swap)
+
+    def test_initial_event_must_map_to_an_initial_one(self):
+        # Write 1 now follows 0 but runs in parallel with 2: only 0 is
+        # initial, and the swap maps it to 1.
+        with pytest.raises(AuditError, match="does not keep program order"):
+            self.admit(po=[(0, 1), (0, 2), (1, 3)])
+
+    def test_final_events_may_be_reordered(self):
+        # The mirror image: 0 and 1 are main's final reads after 2 and 3.
+        po = [(2, 0), (3, 0), (0, 1)]
+        swap = ((2, 3), self.SWAP[1], self.SWAP[2])
+        assert self.admit(po=po, swap=swap).symmetries == 1
+
+
 def test_checker_shares_no_code_with_the_solver_stack():
     tree = ast.parse(Path(certify_mod.__file__).read_text())
     imported = set()

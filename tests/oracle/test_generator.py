@@ -4,7 +4,7 @@ import random
 import re
 
 from repro.lang import parse
-from repro.lang.ast import Program, ThreadDef
+from repro.lang.ast import Assign, Program, ThreadDef
 from repro.lang.sema import check_program
 from repro.lang.unparse import unparse
 from repro.oracle.generator import (
@@ -93,29 +93,39 @@ class TestGenConfig:
 
 
 class TestSymmetricMode:
-    """One seed in ``SYMMETRIC_EVERY`` clones one thread body; about a
-    third of those plant one asymmetry."""
+    """One seed in ``SYMMETRIC_EVERY`` clones one thread body, in about
+    half of them with each clone owning its variables ``p<j>_<i>``;
+    about a third of those plant one asymmetry."""
 
     SEEDS = range(SYMMETRIC_EVERY - 1, 400, SYMMETRIC_EVERY)
 
     @staticmethod
     def shape(thread):
         """The thread's source with its locals renamed in order of first
-        appearance."""
+        appearance and its owned variables ``p<j>_<i>`` as ``p<j>``."""
         text = unparse(Program([], [ThreadDef("t", thread.body)], None))
         names = {}
         fresh = lambda m: names.setdefault(m[0], f"v{len(names)}")  # noqa: E731
-        return re.sub(r"\bl\d+\b", fresh, text)
+        return re.sub(r"\b(p\d+)_\d+\b", r"\1", re.sub(r"\bl\d+\b", fresh, text))
 
     def planted(self, program):
         shapes = {self.shape(t) for t in program.threads}
         starts = [type(s).__name__ for s in program.main.body]
         first = starts.index("Start")
         between = starts[first + 1 : first + len(program.threads)]
-        return len(shapes) > 1 or any(s != "Start" for s in between)
+        inits = {}
+        for s in program.main.body[:first]:
+            owned = re.fullmatch(r"(p\d+)_\d+", getattr(s, "name", ""))
+            if isinstance(s, Assign) and owned:
+                inits.setdefault(owned[1], set()).add(s.value.value)
+        return (
+            len(shapes) > 1
+            or any(s != "Start" for s in between)
+            or any(len(values) > 1 for values in inits.values())
+        )
 
     def test_clones_and_plants(self):
-        planted = 0
+        planted = owned = 0
         for seed in self.SEEDS:
             program = generate_program(seed)
             assert 2 <= len(program.threads) <= 3, seed
@@ -124,7 +134,9 @@ class TestSymmetricMode:
                 program.threads[-2]
             ), seed
             planted += self.planted(program)
+            owned += "p0_1" in unparse(program)
         assert 0.2 < planted / len(self.SEEDS) < 0.5, planted
+        assert 0.3 < owned / len(self.SEEDS) < 0.7, owned
 
     def test_unplanted_clones_get_symmetry_edges(self):
         from repro import api

@@ -16,6 +16,7 @@ from repro.oracle.certify import ProofChecker
 from repro.ordering import OrderingTheory
 from repro.sat import Solver
 from repro.sat.theory import reason_lits
+from tests.ordering.graph_helpers import has_path
 
 
 def materialised(result):
@@ -66,7 +67,7 @@ class _Run:
         return {
             var
             for var, e in self.theory._edge_of_var.items()
-            if not e.active and self.assign[var] != -1 and g.has_path(e.dst, e.src)
+            if not e.active and self.assign[var] != -1 and has_path(g, e.dst, e.src)
         }
 
 
@@ -123,8 +124,8 @@ def _drive(rng, n, po, edges, fr_propagation, steps=40, lazy=False):
                     for w, x in run.theory._edge_of_var.items()
                     if not x.active
                     and run.assign[w] != -1
-                    and g.has_path(e.dst, x.src)
-                    and g.has_path(x.dst, e.src)
+                    and has_path(g, e.dst, x.src)
+                    and has_path(g, x.dst, e.src)
                 }
                 assert got == want
             offered[d].append(
