@@ -39,7 +39,9 @@ __all__ = ["verify_closure", "MAX_TRANSITIVITY_CLAUSES"]
 MAX_TRANSITIVITY_CLAUSES = 400_000
 
 
-def verify_closure(program: ast.Program, config) -> VerificationResult:
+def verify_closure(
+    program: ast.Program, config, telemetry=None
+) -> VerificationResult:
     checkpoint("engine")
     sym = build_symbolic_program(program, unwind=config.unwind, width=config.width)
     if not sym.error_disjuncts:

@@ -26,7 +26,9 @@ __all__ = ["verify_explicit"]
 _NONDET_DOMAIN = (0, 1, 2, 3)
 
 
-def verify_explicit(program: ast.Program, config) -> VerificationResult:
+def verify_explicit(
+    program: ast.Program, config, telemetry=None
+) -> VerificationResult:
     checkpoint("engine")
     compiled = compile_program(program, width=config.width, unwind=config.unwind)
     interp = Interpreter(compiled)

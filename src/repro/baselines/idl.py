@@ -125,9 +125,9 @@ class IdlTheory(Theory):
         return path_reason(node, dict(zip(nodes, pars)), True, {})
 
 
-def encode_program_idl(sym: SymbolicProgram, memory_model: str = "sc"):
-    """Encode with the IDL baseline theory: full FR encoding, no theory
+def encode_program_idl(sym: SymbolicProgram, config):
+    """The ``"idl"`` theory's encoder: full FR encoding, no theory
     propagation, fresh cycle detection."""
-    ppo = preserved_program_order(sym, memory_model)
+    ppo = preserved_program_order(sym, config.memory_model)
     theory = IdlTheory(len(sym.events), ppo)
     return encode_program(sym, fr_encoding=True, theory=theory)

@@ -36,7 +36,9 @@ class _Node:
         self.idx = 0
 
 
-def verify_lazyseq(program: ast.Program, config) -> VerificationResult:
+def verify_lazyseq(
+    program: ast.Program, config, telemetry=None
+) -> VerificationResult:
     checkpoint("engine")
     compiled = compile_program(program, width=config.width, unwind=config.unwind)
     interp = Interpreter(compiled)

@@ -16,7 +16,7 @@ With ``REPRO_SERVER=HOST:PORT`` set, single-engine ``repro-verify`` and
 solving in-process (see :mod:`repro.api`).
 The engine choices are derived from the preset
 table in :mod:`repro.verify.config`, which is validated against the
-engine registry -- there is no second hand-maintained engine list here.
+engine table -- there is no second hand-maintained engine list here.
 """
 
 from __future__ import annotations

@@ -70,22 +70,10 @@ def resolve_chain(config) -> List[Tuple[Optional[object], Optional[Attempt]]]:
         memory_limit_mb=config.memory_limit_mb,
         max_events=config.max_events,
     )
+    # Fallback names are checked against PRESETS when the config is built.
     for name in fallbacks:
         try:
-            factory = PRESETS[name]
-        except KeyError:
-            chain.append(
-                (
-                    None,
-                    Attempt(
-                        name, "?", "skipped",
-                        reason=f"unknown fallback preset {name!r}",
-                    ),
-                )
-            )
-            continue
-        try:
-            fb = factory(memory_model=config.memory_model, **bounds)
+            fb = PRESETS[name](memory_model=config.memory_model, **bounds)
         except ValueError as exc:
             # E.g. a weak-memory primary falling back to an SC-only engine:
             # changing the memory model would change the verified property,

@@ -99,7 +99,8 @@ def _wait_ready(objects, timeout):
 
 
 def _warm_imports() -> None:
-    """Import every module a verification job touches.
+    """Import every module a verification job touches: the pipeline, then
+    every engine runner and theory encoder of the engine table.
 
     Ordered roughly by import cost; the point is that the *first* job on
     a fresh worker is as fast as the hundredth.
@@ -114,14 +115,12 @@ def _warm_imports() -> None:
     import repro.ordering.solver  # noqa: F401
     import repro.ordering.icd  # noqa: F401
     import repro.ordering.tarjan  # noqa: F401
-    import repro.baselines.closure  # noqa: F401
-    import repro.baselines.explicit  # noqa: F401
-    import repro.baselines.lazyseq  # noqa: F401
-    import repro.baselines.idl  # noqa: F401
-    import repro.smc.rfsc  # noqa: F401
-    import repro.smc.genmc  # noqa: F401
-    import repro.verify.verifier  # noqa: F401
-    import repro.verify.engines  # noqa: F401
+    from repro.verify import registry
+
+    for engine in registry.ENGINES:
+        registry.resolve_engine(engine)
+    for theory in registry.THEORIES:
+        registry.resolve_theory(theory)
 
 
 # ----------------------------------------------------------------------

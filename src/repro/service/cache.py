@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.lang import ast, parse
 from repro.lang.unparse import unparse
 from repro.portfolio.sharing import encoding_signature
+from repro.service.persist import CacheStore, key_token
 from repro.verify.config import VerifierConfig
 from repro.verify.result import Verdict
 
@@ -125,14 +126,6 @@ def cache_key(
     return (digest, config_signature(config))
 
 
-def key_token(key: CacheKey) -> str:
-    """A short filesystem-safe token naming one cache key (checkpoint
-    files are keyed by it)."""
-    from repro.service.persist import key_token as _key_token
-
-    return _key_token(key)
-
-
 class VerdictCache:
     """Bounded LRU map from :func:`cache_key` to wire-format results.
 
@@ -165,8 +158,6 @@ class VerdictCache:
         self.evictions = 0
         self.store = None
         if cache_dir:
-            from repro.service.persist import CacheStore
-
             self.store = CacheStore(cache_dir, compact_every=compact_every)
             for key, result in self.store.recover():
                 if result.get("verdict") not in _CACHEABLE:

@@ -9,9 +9,8 @@ explorers can branch over scheduling decisions:
   operations, enabledness (locks, joins, atomic test-and-set);
 * :mod:`repro.smc.explore` -- interleaving exploration: naive enumeration
   and sleep-set dynamic partial-order reduction, with reads-from
-  equivalence-class counting;
-* :mod:`repro.smc.rfsc` / :mod:`repro.smc.genmc` -- the Nidhugg/rfsc-style
-  and GenMC-style verifier presets built on the explorer;
+  equivalence-class counting, and ``verify_stateless``, the runner of the
+  Nidhugg/rfsc-style and GenMC-style engines built on the explorer;
 * :mod:`repro.smc.witness_replay` -- replay of explorer schedules and SMT
   witness traces.
 """

@@ -28,6 +28,13 @@ enumeration observes.
 Complete executions are bucketed by their *reads-from signature*; the
 number of distinct signatures is the reads-from equivalence-class count
 reported as Table 3's "Traces" column.
+
+:func:`verify_stateless` is the runner of both stateless engines.
+Nidhugg's reads-from exploration and GenMC's execution-graph enumeration
+each visit one execution per reads-from class; both analogues run the
+sleep-set DPOR explorer (one execution per Mazurkiewicz trace, a
+refinement of that equivalence) and differ only in the count they report
+as ``traces``.
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.robustness import BudgetExceeded, checkpoint, get_active
-from repro.smc.compile import CompiledProgram
+from repro.smc.compile import CompiledProgram, compile_program
 from repro.smc.interpreter import ExecState, Interpreter, VisibleOp
+from repro.verify.result import VerificationResult
 
-__all__ = ["ExploreOutcome", "Explorer"]
+__all__ = ["ExploreOutcome", "Explorer", "verify_stateless"]
 
 
 @dataclass
@@ -340,3 +348,21 @@ class Explorer:
         if op.addr is not None:
             return f"{op.tid}: {op.kind} {op.addr}"
         return f"{op.tid}: {op.kind}"
+
+
+def verify_stateless(program, config, telemetry=None) -> VerificationResult:
+    """The ``smc-rfsc`` / ``smc-genmc`` runner.  ``traces`` is the DPOR
+    trace count for ``smc-rfsc`` and the reads-from class count -- what
+    GenMC's exploration is proportional to -- for ``smc-genmc``."""
+    checkpoint("engine")
+    compiled = compile_program(program, width=config.width, unwind=config.unwind)
+    outcome = Explorer(compiled, mode="dpor").run()
+    stats = outcome.as_stats()
+    if config.engine == "smc-genmc":
+        stats["traces"] = outcome.rf_classes or outcome.traces
+    return VerificationResult(
+        outcome.verdict,
+        config.name,
+        schedule=outcome.witness_schedule,
+        stats=stats,
+    )

@@ -5,8 +5,8 @@ DPLL(T) solve, witness extraction -- with a :class:`VerifierConfig`
 selecting the engine and ablation flags (Zord, Zord⁻, Zord′, the Tarjan
 detector, or one of the baseline engines).
 
-Engines are resolved through :mod:`repro.verify.registry`; third parties
-extend the verifier by registering an engine factory there.  Structured
+Engines are the rows of the static table in :mod:`repro.verify.registry`,
+which also validates every config against their capabilities.  Structured
 telemetry (normalized stats plus optional JSONL event traces) lives in
 :mod:`repro.verify.telemetry`.
 """

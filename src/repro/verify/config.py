@@ -118,9 +118,9 @@ class VerifierConfig:
             slowdown when enabled.
 
     The engine/theory/detector/memory-model combination is validated at
-    construction against :mod:`repro.verify.registry`; unknown or
-    unsupported combinations raise :class:`ValueError` immediately with
-    the registered alternatives.
+    construction against the engine table in :mod:`repro.verify.registry`;
+    unknown or unsupported combinations raise :class:`ValueError`
+    immediately with the known alternatives.
     """
 
     name: str = "zord"

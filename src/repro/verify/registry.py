@@ -1,264 +1,127 @@
-"""Engine and theory registries -- the extension point behind
-:func:`repro.verify.verify`.
+"""The engine table behind :func:`repro.verify.verify`.
 
-Every verification engine (the paper's tool, its ablations, and the five
-baseline engines of the Section 6 evaluation) is resolved through a single
-registry instead of a hard-coded dispatch chain.  An engine registers
+Every verification engine -- the paper's tool, its ablations and the five
+baseline engines of the Section 6 evaluation -- is one row of
+:data:`ENGINES`: where its runner lives, plus the capability metadata
+(SMT theories, cycle detectors, memory models) the engine accepts.
+Every runner has the one signature
+``runner(program, config, telemetry=None) -> VerificationResult``, and
+its module is imported only when a config selects the engine, so
+constructing a :class:`~repro.verify.config.VerifierConfig` stays cheap
+and the baseline engines never load unless used.
 
-* a **loader**: a zero-argument callable returning the runner
-  ``runner(program, config, telemetry=None) -> VerificationResult`` --
-  the indirection keeps engine modules unimported until first use;
-* **capability metadata**: which SMT theories, cycle detectors and memory
-  models the engine accepts.  :func:`validate_config` checks a
-  :class:`~repro.verify.config.VerifierConfig` against this metadata at
-  construction time, so an invalid engine/theory/detector/memory-model
-  combination fails immediately with the list of registered names rather
-  than deep inside the solve.
+The SMT engine resolves its ordering theory (``"ord"`` / ``"idl"``)
+through :data:`THEORIES` the same way; a theory's encoder has the
+signature ``encode(sym, config) -> EncodedProgram``.
 
-The SMT engine additionally resolves its ordering theory (``"ord"`` /
-``"idl"``) through a parallel theory registry; a theory registers an
-encoder ``encode(sym, config) -> EncodedProgram``.
-
-Third-party engines plug in with::
-
-    from repro.verify import registry
-
-    def _loader():
-        def run(program, config, telemetry=None):
-            ...
-            return VerificationResult(...)
-        return run
-
-    registry.register_engine("my-engine", _loader, description="...")
-
-after which ``VerifierConfig(engine="my-engine")`` and the portfolio
-runner accept the new name.
+:func:`validate_config` checks a config against the table at
+construction time, so an invalid engine/theory/detector/memory-model
+combination fails immediately with the list of known names rather than
+deep inside the solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from importlib import import_module
+from typing import Callable, Dict, NamedTuple, Tuple
 
 __all__ = [
-    "EngineSpec",
-    "TheorySpec",
-    "register_engine",
-    "register_theory",
-    "unregister_engine",
-    "unregister_theory",
-    "engine_names",
-    "theory_names",
-    "get_engine",
-    "get_theory",
+    "ENGINES",
+    "THEORIES",
     "resolve_engine",
     "resolve_theory",
     "validate_config",
 ]
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """Registration record for a verification engine.
+class Engine(NamedTuple):
+    """One row of :data:`ENGINES`.  ``runner`` is ``"module:function"``;
+    an empty ``theories`` / ``detectors`` means the engine ignores
+    ``config.theory`` / ``config.detector``."""
 
-    Attributes:
-        name: registry key (``config.engine`` values).
-        loader: zero-argument callable returning the runner
-            ``runner(program, config, telemetry=None)``.
-        theories: SMT theory names the engine consults (empty when the
-            engine ignores ``config.theory``).
-        detectors: cycle detector names the engine consults (empty when
-            the engine ignores ``config.detector``).
-        memory_models: accepted ``config.memory_model`` values.
-        description: one-line human-readable summary.
-    """
-
-    name: str
-    loader: Callable[[], Callable]
+    runner: str
     theories: Tuple[str, ...] = ()
     detectors: Tuple[str, ...] = ()
     memory_models: Tuple[str, ...] = ("sc",)
-    description: str = ""
 
 
-@dataclass(frozen=True)
-class TheorySpec:
-    """Registration record for an SMT ordering theory.
+ENGINES: Dict[str, Engine] = {
+    # Partial-order BMC via DPLL(T): Zord and the CBMC-style IDL baseline.
+    "smt": Engine(
+        "repro.verify.verifier:run_smt_engine",
+        theories=("ord", "idl"),
+        detectors=("icd", "tarjan"),
+        memory_models=("sc", "tso", "pso"),
+    ),
+    # Pure-SAT transitive-closure encoding (Dartagnan-style).
+    "closure": Engine("repro.baselines.closure:verify_closure"),
+    # Explicit-state reachability (CPA-Seq-style).
+    "explicit": Engine("repro.baselines.explicit:verify_explicit"),
+    # Bounded round-robin sequentialization (Lazy-CSeq-style).
+    "lazyseq": Engine("repro.baselines.lazyseq:verify_lazyseq"),
+    # Stateless model checking (Nidhugg/rfsc-style and GenMC-style).
+    "smc-rfsc": Engine("repro.smc.explore:verify_stateless"),
+    "smc-genmc": Engine("repro.smc.explore:verify_stateless"),
+}
 
-    ``loader`` returns the encoder ``encode(sym, config) -> EncodedProgram``.
-    """
-
-    name: str
-    loader: Callable[[], Callable]
-    description: str = ""
-
-
-_engines: Dict[str, EngineSpec] = {}
-_theories: Dict[str, TheorySpec] = {}
-_runner_cache: Dict[str, Callable] = {}
-_encoder_cache: Dict[str, Callable] = {}
-_builtins_loaded = False
+#: Theory name -> ``"module:function"`` of its encoder.
+THEORIES: Dict[str, str] = {
+    # The paper's T_ord ordering-consistency theory.
+    "ord": "repro.verify.verifier:encode_ord",
+    # Clock-difference (IDL) encoding with full FR constraints.
+    "idl": "repro.baselines.idl:encode_program_idl",
+}
 
 
-def _ensure_builtins() -> None:
-    """Import the built-in registrations exactly once (idempotent)."""
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        import repro.verify.engines  # noqa: F401  (side effect: registers)
-
-
-# ----------------------------------------------------------------------
-# Registration
-# ----------------------------------------------------------------------
-
-def register_engine(
-    name: str,
-    loader: Callable[[], Callable],
-    *,
-    theories: Tuple[str, ...] = (),
-    detectors: Tuple[str, ...] = (),
-    memory_models: Tuple[str, ...] = ("sc",),
-    description: str = "",
-    replace: bool = False,
-) -> EngineSpec:
-    """Register a verification engine.  Raises on duplicate names unless
-    ``replace=True``.  Returns the stored spec."""
-    _ensure_builtins()
-    if name in _engines and not replace:
-        raise ValueError(
-            f"engine {name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    spec = EngineSpec(
-        name, loader, tuple(theories), tuple(detectors),
-        tuple(memory_models), description,
+def _unknown(kind: str, name: str, table: Dict) -> ValueError:
+    return ValueError(
+        f"unknown {kind} {name!r}; known: {', '.join(sorted(table))}"
     )
-    _engines[name] = spec
-    _runner_cache.pop(name, None)
-    return spec
 
 
-def register_theory(
-    name: str,
-    loader: Callable[[], Callable],
-    *,
-    description: str = "",
-    replace: bool = False,
-) -> TheorySpec:
-    """Register an SMT ordering theory.  Raises on duplicates unless
-    ``replace=True``."""
-    _ensure_builtins()
-    if name in _theories and not replace:
-        raise ValueError(
-            f"theory {name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    spec = TheorySpec(name, loader, description)
-    _theories[name] = spec
-    _encoder_cache.pop(name, None)
-    return spec
-
-
-def unregister_engine(name: str) -> None:
-    """Remove an engine registration (primarily for tests/plugins)."""
-    _ensure_builtins()
-    _engines.pop(name, None)
-    _runner_cache.pop(name, None)
-
-
-def unregister_theory(name: str) -> None:
-    """Remove a theory registration (primarily for tests/plugins)."""
-    _ensure_builtins()
-    _theories.pop(name, None)
-    _encoder_cache.pop(name, None)
-
-
-# ----------------------------------------------------------------------
-# Lookup
-# ----------------------------------------------------------------------
-
-def engine_names() -> List[str]:
-    """Sorted names of all registered engines."""
-    _ensure_builtins()
-    return sorted(_engines)
-
-
-def theory_names() -> List[str]:
-    """Sorted names of all registered theories."""
-    _ensure_builtins()
-    return sorted(_theories)
-
-
-def get_engine(name: str) -> EngineSpec:
-    """Spec for ``name``; unknown names raise with the registered list."""
-    _ensure_builtins()
-    try:
-        return _engines[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; registered engines: "
-            f"{', '.join(sorted(_engines))}"
-        ) from None
-
-
-def get_theory(name: str) -> TheorySpec:
-    """Spec for theory ``name``; unknown names raise with the registered
-    list."""
-    _ensure_builtins()
-    try:
-        return _theories[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown theory {name!r}; registered theories: "
-            f"{', '.join(sorted(_theories))}"
-        ) from None
+def _load(location: str) -> Callable:
+    module, _, attr = location.partition(":")
+    return getattr(import_module(module), attr)
 
 
 def resolve_engine(name: str) -> Callable:
-    """The runner for engine ``name`` (loader result, cached)."""
-    runner = _runner_cache.get(name)
-    if runner is None:
-        runner = get_engine(name).loader()
-        _runner_cache[name] = runner
-    return runner
+    """The runner for engine ``name`` (importing its module on first
+    use); unknown names raise with the known list."""
+    if name not in ENGINES:
+        raise _unknown("engine", name, ENGINES)
+    return _load(ENGINES[name].runner)
 
 
 def resolve_theory(name: str) -> Callable:
-    """The encoder for theory ``name`` (loader result, cached)."""
-    encoder = _encoder_cache.get(name)
-    if encoder is None:
-        encoder = get_theory(name).loader()
-        _encoder_cache[name] = encoder
-    return encoder
+    """The encoder for theory ``name`` (importing its module on first
+    use); unknown names raise with the known list."""
+    if name not in THEORIES:
+        raise _unknown("theory", name, THEORIES)
+    return _load(THEORIES[name])
 
-
-# ----------------------------------------------------------------------
-# Configuration validation
-# ----------------------------------------------------------------------
 
 def validate_config(config) -> None:
-    """Check a :class:`VerifierConfig` against the registry's capability
+    """Check a :class:`VerifierConfig` against the table's capability
     metadata.  Called from ``VerifierConfig.__post_init__`` so invalid
     combinations fail at construction, not mid-solve."""
-    spec = get_engine(config.engine)
-    if spec.theories:
-        if config.theory not in spec.theories:
-            raise ValueError(
-                f"engine {config.engine!r} does not support theory "
-                f"{config.theory!r}; supported: {', '.join(spec.theories)}"
-            )
-        get_theory(config.theory)  # must resolve to a registered theory
-    if spec.detectors and config.detector not in spec.detectors:
+    engine = ENGINES.get(config.engine)
+    if engine is None:
+        raise _unknown("engine", config.engine, ENGINES)
+    if engine.theories and config.theory not in engine.theories:
+        raise ValueError(
+            f"engine {config.engine!r} does not support theory "
+            f"{config.theory!r}; supported: {', '.join(engine.theories)}"
+        )
+    if engine.detectors and config.detector not in engine.detectors:
         raise ValueError(
             f"engine {config.engine!r} does not support detector "
-            f"{config.detector!r}; supported: {', '.join(spec.detectors)}"
+            f"{config.detector!r}; supported: {', '.join(engine.detectors)}"
         )
-    if config.memory_model not in spec.memory_models:
+    if config.memory_model not in engine.memory_models:
         raise ValueError(
             f"memory model {config.memory_model!r} is not supported by "
             f"engine {config.engine!r} (supported: "
-            f"{', '.join(spec.memory_models)}; the explicit/stateless "
+            f"{', '.join(engine.memory_models)}; the explicit/stateless "
             "engines interpret under SC)"
         )
     fallbacks = getattr(config, "fallbacks", ()) or ()

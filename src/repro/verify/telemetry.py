@@ -45,9 +45,9 @@ solve_end          the SAT core, leaving CDCL search             result + counte
 verify_end         :func:`repro.verify.verify`                   verdict, wall_time_s
 ================== ============================================= =========
 
-Third-party engines receive the active :class:`TraceWriter` as the
-``telemetry`` argument of their runner and may emit their own events; the
-schema above is a guaranteed core, not a closed set.
+Every engine runner receives the active :class:`TraceWriter` as its
+``telemetry`` argument and may emit its own events; the schema above is
+a guaranteed core, not a closed set.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""The top-level verifier: parse → unroll/SSA → registry-resolved engine →
-verdict, under resource governance.
+"""The top-level verifier: parse → unroll/SSA → engine → verdict, under
+resource governance.
 
-Engine selection goes through :mod:`repro.verify.registry`: ``config.engine``
-names a registered engine whose runner is resolved lazily; the SMT engine
-resolves its ordering theory (``"ord"`` / ``"idl"``) through the theory
-registry the same way.
+Engine selection goes through the table in :mod:`repro.verify.registry`:
+``config.engine`` names a row whose runner module is imported on first
+use; the SMT engine resolves its ordering theory (``"ord"`` / ``"idl"``)
+through the table's theory column the same way.
 
 Every run is resource-governed (:mod:`repro.robustness`): a
 :class:`~repro.robustness.budget.Budget` is created once per
@@ -24,6 +24,8 @@ import tracemalloc
 from dataclasses import asdict
 from typing import Optional, Union
 
+from repro.analysis.prune import build_prune_plan
+from repro.encoding.encoder import encode_program
 from repro.frontend import build_symbolic_program
 from repro.lang import ast, parse
 from repro.robustness import active_budget, checkpoint
@@ -44,7 +46,7 @@ from repro.verify.telemetry import (
 )
 from repro.verify.witness import extract_trace
 
-__all__ = ["verify_one", "run_smt_engine"]
+__all__ = ["verify_one", "run_smt_engine", "encode_ord"]
 
 _CONCLUSIVE = (Verdict.SAFE, Verdict.UNSAFE)
 _VERDICT = {
@@ -98,7 +100,7 @@ def verify_one(
     for cfg, _ in chain:
         if cfg is not None:
             runners[cfg.engine] = registry.resolve_engine(cfg.engine)
-            if registry.get_engine(cfg.engine).theories:
+            if registry.ENGINES[cfg.engine].theories:
                 registry.resolve_theory(cfg.theory)
     budget = Budget.from_config(config)
     attempts = []
@@ -182,8 +184,8 @@ def run_smt_engine(
     config: VerifierConfig,
     telemetry: Optional[TraceWriter] = None,
 ) -> VerificationResult:
-    """The DPLL(T) BMC engine: SSA, theory-registry encode, CDCL solve,
-    witness extraction.  Registered under engine name ``"smt"``.
+    """The DPLL(T) BMC engine: SSA, theory encode, CDCL solve, witness
+    extraction.  The runner of engine ``"smt"``.
 
     With ``config.unwind_schedule`` set, one encoding is built at the
     maximum bound and solved once per scheduled bound under that bound's
@@ -262,6 +264,21 @@ def run_smt_engine(
         stats.update(solver.checker.as_stats())
     return VerificationResult(
         _VERDICT[answer], config.name, witness=witness, stats=stats
+    )
+
+
+def encode_ord(sym, config):
+    """The ``"ord"`` theory's encoder: the paper's T_ord encoding under
+    the config's ablation flags, pruned at ``config.prune_level``."""
+    level = config.prune_level
+    return encode_program(
+        sym,
+        detector=config.detector,
+        unit_edge=config.unit_edge,
+        fr_encoding=config.fr_encoding,
+        max_conflict_clauses=config.max_conflict_clauses,
+        memory_model=config.memory_model,
+        prune_plan=build_prune_plan(sym, level) if level > 0 else None,
     )
 
 

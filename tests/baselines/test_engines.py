@@ -111,6 +111,21 @@ class TestSmcSpecifics:
         result = verify(STORE_BUFFERING, VerifierConfig.genmc())
         assert result.stats["traces"] >= 1
 
+    def test_stateless_engines_differ_only_in_traces(self):
+        # Two unread writes: two Mazurkiewicz traces, one reads-from class.
+        src = """
+        int x = 0;
+        thread a { x = 1; }
+        thread b { x = 2; }
+        main { start a; start b; join a; join b; }
+        """
+        rfsc = verify(src, VerifierConfig.nidhugg_rfsc())
+        genmc = verify(src, VerifierConfig.genmc())
+        assert rfsc.verdict == genmc.verdict == Verdict.SAFE
+        assert (rfsc.stats["traces"], rfsc.stats["rf_classes"]) == (2, 1)
+        assert (genmc.stats["traces"], genmc.stats["rf_classes"]) == (1, 1)
+        assert rfsc.stats["transitions"] == genmc.stats["transitions"]
+
     def test_unsafe_schedule_reported(self):
         from tests.verify.programs import RACE_UNSAFE
 

@@ -16,33 +16,29 @@ UNSAFE_SRC = bank_transfer(locked=False)
 CHAIN_SRC = flag_handoff(2)
 
 
-def _sleepy_loader():
-    def run(program, config, telemetry=None):
-        time.sleep(30)
-        return VerificationResult(Verdict.SAFE, config.name)
-
-    return run
+def _sleepy(program, config, telemetry=None):
+    time.sleep(30)
+    return VerificationResult(Verdict.SAFE, config.name)
 
 
-def _undecided_loader():
-    def run(program, config, telemetry=None):
-        return VerificationResult(Verdict.UNKNOWN, config.name)
-
-    return run
+def _undecided(program, config, telemetry=None):
+    return VerificationResult(Verdict.UNKNOWN, config.name)
 
 
 @pytest.fixture()
-def sleepy_engine():
-    registry.register_engine("sleepy", _sleepy_loader)
-    yield VerifierConfig(name="sleepy", engine="sleepy")
-    registry.unregister_engine("sleepy")
+def sleepy_engine(monkeypatch):
+    monkeypatch.setitem(
+        registry.ENGINES, "sleepy", registry.Engine(f"{__name__}:_sleepy")
+    )
+    return VerifierConfig(name="sleepy", engine="sleepy")
 
 
 @pytest.fixture()
-def undecided_engine():
-    registry.register_engine("undecided", _undecided_loader)
-    yield
-    registry.unregister_engine("undecided")
+def undecided_engine(monkeypatch):
+    monkeypatch.setitem(
+        registry.ENGINES, "undecided",
+        registry.Engine(f"{__name__}:_undecided"),
+    )
 
 
 class TestFirstVerdictWins:

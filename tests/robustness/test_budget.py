@@ -2,6 +2,7 @@
 every preset must degrade to a structured UNKNOWN (never an exception,
 never a wrong verdict) under a tiny time or conflict budget."""
 
+import sys
 import time
 from pathlib import Path
 
@@ -192,50 +193,56 @@ class TestBudgetIsTheOnlyEnforcer:
         assert result.stats["budget_phase"]
 
 
-def test_engine_import_is_not_charged_to_the_deadline():
+def _slow_module(monkeypatch, tmp_path, name, seconds, body):
+    """A module ``name`` whose first import sleeps ``seconds`` (a cold
+    import), removed from ``sys.modules`` after the test."""
+    (tmp_path / f"{name}.py").write_text(
+        f"import time\ntime.sleep({seconds})\n{body}"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    # Undoing this entry drops the imported module again.
+    monkeypatch.setitem(sys.modules, name, None)
+    del sys.modules[name]
+    return name
+
+
+def test_engine_import_is_not_charged_to_the_deadline(monkeypatch, tmp_path):
     """The budget's clock starts after every chain link's runner is
     resolved: an engine whose first load outlasts the deadline still
     answers within it."""
-    from repro.robustness import checkpoint
-    from repro.verify import VerificationResult, registry
+    from repro.verify import registry
 
-    def _slow_loader():
-        time.sleep(0.15)  # a cold import
-
-        def run(program, config, telemetry=None):
-            checkpoint("engine")
-            return VerificationResult(Verdict.SAFE, config.name)
-
-        return run
-
-    registry.register_engine("slow-import", _slow_loader, description="test")
-    try:
-        config = PRESETS["zord"]().with_(engine="slow-import", time_limit_s=0.1)
-        result = verify(COUNTER_SAFE, config)
-    finally:
-        registry.unregister_engine("slow-import")
+    module = _slow_module(
+        monkeypatch, tmp_path, "slow_import_engine", 0.15,
+        "from repro.robustness import checkpoint\n"
+        "from repro.verify import Verdict, VerificationResult\n"
+        "def run(program, config, telemetry=None):\n"
+        "    checkpoint('engine')\n"
+        "    return VerificationResult(Verdict.SAFE, config.name)\n",
+    )
+    monkeypatch.setitem(
+        registry.ENGINES, "slow-import", registry.Engine(f"{module}:run")
+    )
+    config = PRESETS["zord"]().with_(engine="slow-import", time_limit_s=0.1)
+    result = verify(COUNTER_SAFE, config)
     assert result.verdict == Verdict.SAFE, result.stats
     assert "budget_limit" not in result.stats
 
 
-def test_theory_import_is_not_charged_to_the_deadline():
+def test_theory_import_is_not_charged_to_the_deadline(monkeypatch, tmp_path):
     """An SMT link's theory encoder is resolved before the budget's clock
     starts too: a theory whose first load outlasts the deadline still
     answers within it.  The deadline leaves room for a real (audited,
     loaded-host) zord run of the program."""
     from repro.verify import registry
-    from repro.verify.engines import _ord_theory_loader
 
-    def _slow_loader():
-        time.sleep(0.4)  # a cold import
-        return _ord_theory_loader()
-
-    registry.register_theory("ord", _slow_loader, replace=True)
-    try:
-        config = PRESETS["zord"](time_limit_s=0.3)
-        result = verify(COUNTER_SAFE, config)
-    finally:
-        registry.register_theory("ord", _ord_theory_loader, replace=True)
+    module = _slow_module(
+        monkeypatch, tmp_path, "slow_import_theory", 0.4,
+        "from repro.verify.verifier import encode_ord\n",
+    )
+    monkeypatch.setitem(registry.THEORIES, "ord", f"{module}:encode_ord")
+    config = PRESETS["zord"](time_limit_s=0.3)
+    result = verify(COUNTER_SAFE, config)
     budget = {k: v for k, v in result.stats.items() if k.startswith("budget")}
     assert result.verdict == Verdict.SAFE, budget
     assert "budget_limit" not in result.stats

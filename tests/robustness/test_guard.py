@@ -10,17 +10,16 @@ from repro.verify import registry
 from tests.verify.programs import PAPER_FIG2
 
 
+def _crashy(program, config, telemetry=None):
+    raise RuntimeError("engine exploded")
+
+
 @pytest.fixture()
-def crashing_engine():
-    def _loader():
-        def run(program, config, telemetry=None):
-            raise RuntimeError("engine exploded")
-
-        return run
-
-    registry.register_engine("crashy", _loader, description="test engine")
-    yield "crashy"
-    registry.unregister_engine("crashy")
+def crashing_engine(monkeypatch):
+    monkeypatch.setitem(
+        registry.ENGINES, "crashy", registry.Engine(f"{__name__}:_crashy")
+    )
+    return "crashy"
 
 
 class TestRunGuarded:
